@@ -58,6 +58,7 @@ from typing import Optional, Sequence
 
 from repro.apps import PAPER_APPS, paper_spec
 from repro.cluster.experiment import paper_config, run_experiment, sweep_timeslices
+from repro.errors import ReproError
 from repro.feasibility import FeasibilityAnalyzer, TechnologyEnvelope, TrendModel
 from repro.feasibility.taxonomy import render_table1
 from repro.units import MiB
@@ -149,16 +150,6 @@ def _finish_obs(obs, args, out) -> None:
               f"({len(obs.metrics.all_series())} series)", file=out)
 
 
-def _reject_profile_with_workers(args, what: str) -> bool:
-    """--profile-out measures the in-process engine; worker-process
-    modes would profile only the parent.  True when rejected."""
-    if args.profile_out:
-        print(f"--profile-out is incompatible with {what}: the profiler "
-              f"attributes this process's engine events", file=sys.stderr)
-        return True
-    return False
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -174,11 +165,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--ranks", type=int, default=4)
     run.add_argument("--duration", type=float, default=None,
                      help="simulated seconds after initialization")
-    run.add_argument("--shards", type=_positive_int, default=1,
-                     help="simulate rank groups in N worker processes "
-                          "and merge deterministically (default 1: "
-                          "in-process; results are sim-identical at "
-                          "any shard count)")
     run.add_argument("--save-trace", metavar="DIR", default=None,
                      help="write per-rank traces (npz+json) to DIR")
     run.add_argument("--ckpt-transport",
@@ -221,10 +207,6 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for the sweep (default 1: "
                             "serial; results are identical at any count)")
-    sweep.add_argument("--shards", type=_positive_int, default=1,
-                       help="shard each run's rank groups across N "
-                            "worker processes (serial sweeps only; "
-                            "mutually exclusive with --jobs > 1)")
     sweep.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent result cache (default: "
                             "$REPRO_CACHE_DIR if set, else no cache)")
@@ -399,29 +381,38 @@ def cmd_list_apps(out) -> int:
 
 def cmd_run(args, out) -> int:
     """``run``: one instrumented experiment, stats to stdout."""
-    if args.shards > 1 and _reject_profile_with_workers(args, "--shards > 1"):
-        return 2
-    from repro.errors import ConfigurationError
-    try:
-        config = paper_config(args.app, nranks=args.ranks,
-                              timeslice=args.timeslice,
-                              run_duration=args.duration,
-                              ckpt_transport=args.ckpt_transport,
-                              ckpt_interval_slices=args.ckpt_interval,
-                              ckpt_full_every=args.ckpt_full_every,
-                              ckpt_mode=args.ckpt_mode,
-                              dcp_block_size=args.dcp_block_size)
-    except ConfigurationError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
+    config = paper_config(args.app, nranks=args.ranks,
+                          timeslice=args.timeslice,
+                          run_duration=args.duration,
+                          ckpt_transport=args.ckpt_transport,
+                          ckpt_interval_slices=args.ckpt_interval,
+                          ckpt_full_every=args.ckpt_full_every,
+                          ckpt_mode=args.ckpt_mode,
+                          dcp_block_size=args.dcp_block_size)
+    if args.store_out and args.ckpt_transport is None:
+        print("--store-out needs --ckpt-transport (no checkpoint "
+              "store to archive)", file=sys.stderr)
         return 2
     obs = _make_obs(args)
-    result = run_experiment(config, obs=obs, shards=args.shards)
+    result = run_experiment(config, obs=obs)
     _finish_obs(obs, args, out)
+    # artifacts before the summary, so no summary line can lose them
+    if args.save_trace:
+        from repro.trace import save_traces
+        paths = save_traces(result.logs, args.save_trace)
+        print(f"saved {len(paths)} traces under {args.save_trace}", file=out)
+    if args.store_out:
+        from repro.storage.archive import save_store
+        path = save_store(result.ckpt.store, args.store_out)
+        print(f"checkpoint store archived to {path} "
+              f"({result.ckpt.store.count()} piece(s))", file=out)
     print(f"{args.app}: {result.final_time:.1f} s simulated, "
           f"{result.iterations} iterations, {args.ranks} ranks", file=out)
     print(f"footprint: {result.footprint().as_row()}", file=out)
     print(f"IB:        {result.ib().as_row()}", file=out)
-    print(f"period:    {result.measured_period():.2f} s measured "
+    measured = (f"{result.measured_period():.2f} s measured"
+                if len(result.iteration_starts) >= 2 else "n/a")
+    print(f"period:    {measured} "
           f"({config.spec.iteration_period:.2f} s configured)", file=out)
     stats = result.transport_stats
     if stats is not None:
@@ -432,19 +423,6 @@ def cmd_run(args, out) -> int:
         measured = result.measured_feasibility()
         if measured is not None:
             print(f"measured:  {measured.as_row()}", file=out)
-    if args.save_trace:
-        from repro.trace import save_traces
-        paths = save_traces(result.logs, args.save_trace)
-        print(f"saved {len(paths)} traces under {args.save_trace}", file=out)
-    if args.store_out:
-        if result.ckpt is None:
-            print("--store-out needs --ckpt-transport (no checkpoint "
-                  "store to archive)", file=sys.stderr)
-            return 2
-        from repro.storage.archive import save_store
-        path = save_store(result.ckpt.store, args.store_out)
-        print(f"checkpoint store archived to {path} "
-              f"({result.ckpt.store.count()} piece(s))", file=out)
     return 0
 
 
@@ -459,8 +437,11 @@ def cmd_sweep(args, out) -> int:
     if not timeslices:
         print("no timeslices given", file=sys.stderr)
         return 2
-    if (args.jobs > 1 or args.shards > 1) and _reject_profile_with_workers(
-            args, "--jobs/--shards > 1"):
+    if args.jobs > 1 and args.profile_out:
+        # the profiler attributes in-process engine events; pool workers
+        # would leave it profiling only the parent
+        print("--profile-out is incompatible with --jobs > 1: the profiler "
+              "attributes this process's engine events", file=sys.stderr)
         return 2
     cache = None if args.no_cache else default_cache(args.cache_dir)
     config = paper_config(args.app, nranks=args.ranks,
@@ -468,7 +449,7 @@ def cmd_sweep(args, out) -> int:
     obs = _make_obs(args)
     t0 = time.perf_counter()
     results = sweep_timeslices(config, timeslices, jobs=args.jobs,
-                               cache=cache, obs=obs, shards=args.shards)
+                               cache=cache, obs=obs)
     elapsed = time.perf_counter() - t0
     _finish_obs(obs, args, out)
     print(f"{args.app}: average/maximum IB vs timeslice", file=out)
@@ -552,20 +533,16 @@ def cmd_ckpt_verify(args, out) -> int:
 
 def cmd_faults_run(args, out) -> int:
     """``faults run``: one fault-injection experiment with recovery."""
-    from repro.errors import ConfigurationError, FaultPlanError
+    from repro.errors import FaultPlanError
     from repro.faults import FaultPlan, run_with_failures
     from repro.feasibility import FailureModel, observed_efficiency, \
         predicted_vs_observed
 
-    try:
-        config = paper_config(args.app, nranks=args.ranks,
-                              timeslice=args.timeslice,
-                              run_duration=args.duration,
-                              ckpt_mode=args.ckpt_mode,
-                              dcp_block_size=args.dcp_block_size)
-    except ConfigurationError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return 2
+    config = paper_config(args.app, nranks=args.ranks,
+                          timeslice=args.timeslice,
+                          run_duration=args.duration,
+                          ckpt_mode=args.ckpt_mode,
+                          dcp_block_size=args.dcp_block_size)
     if args.mtbf is None and args.plan is None and not args.corrupt:
         print("need a fault source: --mtbf, --plan, or --corrupt",
               file=sys.stderr)
@@ -742,9 +719,21 @@ def cmd_validate(args, out) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Any library error that escapes a command (an invalid configuration
+    such as a non-positive timeslice or duration) is reported on stderr
+    with exit code 2 instead of a traceback."""
     out = out if out is not None else sys.stdout
     args = _parser().parse_args(argv)
+    try:
+        return _dispatch(args, out)
+    except ReproError as exc:
+        print(f"bad configuration: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args, out) -> int:
     if args.command == "list-apps":
         return cmd_list_apps(out)
     if args.command == "run":

@@ -25,6 +25,7 @@ Format (all integers little-endian uint32 length prefixes)::
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,23 +153,36 @@ def _read_frame(data: bytes, offset: int, *, what: str) -> tuple[bytes, int]:
 
 def save_store(store: CheckpointStore, path: Union[str, Path]) -> Path:
     """Write the store -- chains, commits, payloads, digests -- to one
-    framed binary file.  Returns the path written."""
+    framed binary file.  Returns the path written.
+
+    The frames go to a temporary file next to ``path``, which is renamed
+    over ``path`` only once complete: a failed or killed save never
+    leaves a truncated archive, and any previous archive stays intact.
+    """
     path = Path(path)
     pieces = [obj for rank in range(store.nranks)
               for obj in store.pieces(rank)]
     header = {"nranks": store.nranks,
               "committed": store.committed_sequences(),
               "pieces": len(pieces)}
-    parts = [MAGIC, _frame(json.dumps(header, sort_keys=True).encode())]
-    for obj in pieces:
-        blob = _encode_payload(obj.payload)
-        meta = {"rank": obj.rank, "seq": obj.seq, "kind": obj.kind,
-                "nbytes": obj.nbytes, "stored_at": obj.stored_at,
-                "digest": obj.digest, "prev_digest": obj.prev_digest,
-                "base_digest": obj.base_digest, "payload_len": len(blob)}
-        parts.append(_frame(json.dumps(meta, sort_keys=True).encode()))
-        parts.append(blob)
-    path.write_bytes(b"".join(parts))
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(_frame(json.dumps(header, sort_keys=True).encode()))
+            for obj in pieces:
+                blob = _encode_payload(obj.payload)
+                meta = {"rank": obj.rank, "seq": obj.seq, "kind": obj.kind,
+                        "nbytes": obj.nbytes, "stored_at": obj.stored_at,
+                        "digest": obj.digest, "prev_digest": obj.prev_digest,
+                        "base_digest": obj.base_digest,
+                        "payload_len": len(blob)}
+                f.write(_frame(json.dumps(meta, sort_keys=True).encode()))
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -49,6 +49,9 @@ def test_config_validation():
         tiny_config(nranks=0)
     with pytest.raises(ConfigurationError):
         tiny_config(timeslice=0.0)
+    for duration in (0.0, -5.0):
+        with pytest.raises(ConfigurationError):
+            tiny_config(run_duration=duration)
 
 
 def test_sweep_timeslices_ib_declines():

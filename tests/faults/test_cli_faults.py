@@ -95,16 +95,23 @@ def test_faults_run_corrupt_only_scans_the_store():
 
 
 def test_run_store_out_then_ckpt_verify(tmp_path):
-    store = tmp_path / "store.rckpt"
-    code, text = run_cli("run", "--app", "lu", "--ranks", "2",
-                         "--duration", "8", "--timeslice", "0.5",
-                         "--ckpt-transport", "network",
-                         "--store-out", str(store))
-    assert code == 0
-    assert "archived to" in text
-    code, text = run_cli("ckpt", "verify", str(store))
-    assert code == 0
-    assert "OK" in text
+    # the sage run sees fewer than two iterations: its period line
+    # degrades to n/a and both artifacts are still written
+    for app, duration in (("lu", "8"), ("sage-100MB", "5")):
+        store = tmp_path / f"{app}.rckpt"
+        traces = tmp_path / f"{app}-traces"
+        code, text = run_cli("run", "--app", app, "--ranks", "2",
+                             "--duration", duration, "--timeslice", "0.5",
+                             "--ckpt-transport", "network",
+                             "--store-out", str(store),
+                             "--save-trace", str(traces))
+        assert code == 0
+        assert "archived to" in text
+        assert ("period:    n/a" in text) == (app == "sage-100MB")
+        assert len(list(traces.iterdir())) > 0
+        code, text = run_cli("ckpt", "verify", str(store))
+        assert code == 0
+        assert "OK" in text
 
 
 @pytest.mark.parametrize("spec", [

@@ -5,6 +5,11 @@ outright garbage -- and never crash, hang, or return nonsense exit
 codes."""
 
 import io
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint.snapshot import Checkpoint, PagePayload, SegmentRecord
+import repro
 from repro.cli import main
-from repro.storage import CheckpointStore
+from repro.storage import CheckpointStore, archive
 from repro.storage.archive import MAGIC, save_store, scan_store
 
 PAGE = 64
@@ -133,3 +139,63 @@ def test_cli_verify_exit_codes_stay_in_contract(archive_bytes, tmp_path):
 
     missing = tmp_path / "nope.rckpt"
     assert main(["ckpt", "verify", str(missing)], out=io.StringIO()) == 2
+
+
+# -- atomic saves ---------------------------------------------------------------
+
+_SAVE_UNDER_FSIZE_LIMIT = """
+import resource, signal, sys
+from repro.storage.archive import load_store, save_store
+store = load_store(sys.argv[1])
+limit = int(sys.argv[3])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+try:
+    save_store(store, sys.argv[2])
+except OSError:
+    sys.exit(3)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"),
+                    reason="needs POSIX file-size limits")
+def test_save_failing_partway_keeps_previous_archive(archive_bytes, tmp_path):
+    """The file-size limit cuts the write off at half the archive: the
+    previous archive stays byte-identical and no temp file remains."""
+    source = tmp_path / "source.rckpt"
+    source.write_bytes(archive_bytes)
+    target_dir = tmp_path / "out"
+    target_dir.mkdir()
+    target = target_dir / "store.rckpt"
+    target.write_bytes(archive_bytes)
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SAVE_UNDER_FSIZE_LIMIT, str(source),
+         str(target), str(len(archive_bytes) // 2)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert target.read_bytes() == archive_bytes
+    assert [p.name for p in target_dir.iterdir()] == ["store.rckpt"]
+
+
+def test_save_error_midway_removes_temp_file(archive_bytes, tmp_path,
+                                             monkeypatch):
+    path = tmp_path / "store.rckpt"
+    path.write_bytes(archive_bytes)
+    encode = archive._encode_payload
+    encoded = []
+
+    def fail_on_third_piece(payload):
+        encoded.append(payload)
+        if len(encoded) == 3:
+            raise RuntimeError("interrupted")
+        return encode(payload)
+
+    monkeypatch.setattr(archive, "_encode_payload", fail_on_third_piece)
+    with pytest.raises(RuntimeError):
+        save_store(tiny_store(), path)
+    assert path.read_bytes() == archive_bytes
+    assert [p.name for p in tmp_path.iterdir()] == ["store.rckpt"]

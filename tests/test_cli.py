@@ -68,11 +68,12 @@ def test_analyze_command(tmp_path):
     assert "period" in text
 
 
-def test_analyze_missing_dir_fails():
-    import pytest
-    from repro.errors import ConfigurationError
-    with pytest.raises(ConfigurationError):
-        run_cli("analyze", "--trace", "/nonexistent/dir")
+def test_analyze_missing_dir_fails(capsys):
+    # the library's ConfigurationError is reported, not raised
+    code, _ = run_cli("analyze", "--trace", "/nonexistent/dir")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "/nonexistent/dir" in err
 
 
 def test_table1_command():

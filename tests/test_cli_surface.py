@@ -59,12 +59,28 @@ def test_obs_flags_documented_in_help(capsys):
     ["obs"],                      # needs a subcommand
     ["ckpt"],                     # needs a subcommand
     ["sweep", "--app", "lu", "--jobs", "0"],
+    ["run", "--app", "lu", "--shards", "2"],
 ])
 def test_bad_usage_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()  # swallow the usage message
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--app", "lu", "--duration", "-5"],
+    ["run", "--app", "lu", "--duration", "0"],
+    ["sweep", "--app", "lu", "--ranks", "2", "--duration", "6",
+     "--timeslices", "0,1", "--no-cache"],
+], ids=["run-negative-duration", "run-zero-duration", "sweep-zero-slice"])
+def test_bad_configuration_exits_two(argv, capsys):
+    # valid argparse input that the library rejects: one "bad
+    # configuration" line on stderr, exit 2, no traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err
+    assert "Traceback" not in err
 
 
 def test_faults_run_needs_a_fault_source(capsys):
@@ -337,11 +353,6 @@ def test_obs_diff_bad_inputs_exit_two(tmp_path, capsys):
 
 
 def test_profile_out_rejected_with_worker_modes(tmp_path, capsys):
-    code, _ = run_cli("run", "--app", "lu", "--ranks", "4",
-                      "--duration", "4", "--shards", "2",
-                      "--profile-out", str(tmp_path / "p.json"))
-    assert code == 2
-    assert "--profile-out" in capsys.readouterr().err
     code, _ = run_cli("sweep", "--app", "lu", "--ranks", "2",
                       "--duration", "4", "--timeslices", "1,2",
                       "--jobs", "2", "--no-cache",
