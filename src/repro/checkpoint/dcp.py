@@ -39,9 +39,9 @@ import hashlib
 import numpy as np
 
 from repro.checkpoint.incremental import IncrementalCheckpointer
-from repro.checkpoint.full import geometry_of
-from repro.checkpoint.snapshot import (Checkpoint, BlockPayload,
-                                       SEGMENT_HEADER_BYTES)
+from repro.checkpoint.full import geometry_of, unit_bytes_of
+from repro.checkpoint.snapshot import (Checkpoint, SEGMENT_HEADER_BYTES,
+                                       UnitPayload)
 from repro.errors import CheckpointError
 from repro.mem import AddressSpace, Segment
 
@@ -73,7 +73,8 @@ class DcpCheckpointer(IncrementalCheckpointer):
 
     Same observe/capture/mark_baseline contract as
     :class:`IncrementalCheckpointer`; deltas come out as ``"dcp"``
-    checkpoints carrying :class:`BlockPayload` pieces.
+    checkpoints whose :class:`~repro.checkpoint.snapshot.UnitPayload`
+    units are blocks.
     """
 
     def __init__(self, memory: AddressSpace, block_size: int = 256):
@@ -121,13 +122,6 @@ class DcpCheckpointer(IncrementalCheckpointer):
             self._baseline[seg.sid] = base
         return base
 
-    def _block_bytes_of(self, seg: Segment,
-                        flat_blocks: np.ndarray) -> np.ndarray | None:
-        if seg.contents is None or len(flat_blocks) == 0:
-            return None
-        flat = np.frombuffer(bytes(seg.contents), dtype=np.uint8)
-        return flat.reshape(-1, self.block_size)[flat_blocks].copy()
-
     # -- capture ---------------------------------------------------------------
 
     def capture(self, seq: int, taken_at: float = 0.0) -> Checkpoint:
@@ -164,11 +158,11 @@ class DcpCheckpointer(IncrementalCheckpointer):
                     + np.arange(bpp, dtype=pages.dtype))[changed]
             versions = current[changed].copy()
             blocks_written += len(flat)
-            payloads.append(BlockPayload(
+            payloads.append(UnitPayload(
                 sid=seg.sid,
                 indices=flat.astype(np.int64),
                 versions=versions,
-                block_bytes=self._block_bytes_of(seg, flat)))
+                unit_bytes=unit_bytes_of(seg, flat, self.block_size)))
         ckpt = Checkpoint(seq=seq, kind="dcp", taken_at=taken_at,
                           page_size=self.memory.page_size,
                           geometry=geometry_of(self.memory),

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.checkpoint.full import geometry_of, page_bytes_of
-from repro.checkpoint.snapshot import Checkpoint, PagePayload
+from repro.checkpoint.full import geometry_of, unit_bytes_of
+from repro.checkpoint.snapshot import Checkpoint, UnitPayload
 from repro.errors import CheckpointError
 from repro.mem import AddressSpace
 
@@ -114,10 +114,10 @@ class IncrementalCheckpointer:
             mask, _ = self._capture_masks(seg)
             indices = np.flatnonzero(mask)
             if len(indices):
-                payloads.append(PagePayload(
+                payloads.append(UnitPayload(
                     sid=seg.sid, indices=indices,
                     versions=seg.pages.versions[indices].copy(),
-                    page_bytes=page_bytes_of(seg, indices)))
+                    unit_bytes=unit_bytes_of(seg, indices, seg.page_size)))
         ckpt = Checkpoint(seq=seq, kind="incremental", taken_at=taken_at,
                           page_size=self.memory.page_size,
                           geometry=geometry_of(self.memory),

@@ -29,62 +29,94 @@ def replay_chain(chain: Sequence[Checkpoint]) \
     The third element is the reconstructed byte content, shape
     ``(npages, page_size)``; None when the chain was captured under the
     signature-only backend.
+
+    Every segment of the current geometry lives in one flat page array
+    (``offsets`` maps a sid to its first page), so each checkpoint's
+    payloads replay in one vectorised pass, whatever their unit: a page
+    piece is a block piece with one block per page.
     """
     if not chain:
         raise RecoveryError("empty checkpoint chain")
     if chain[0].kind != "full":
         raise RecoveryError("chain must start with a full checkpoint")
     page_size = chain[0].page_size
-    has_bytes = any(getattr(p, "page_bytes", None) is not None
-                    or getattr(p, "block_bytes", None) is not None
+    has_bytes = any(p.unit_bytes is not None
                     for c in chain for p in c.payloads)
-    state: dict[int, tuple[SegmentRecord, np.ndarray, Optional[np.ndarray]]] = {}
+    sizes: dict[int, int] = {}      # sid -> npages of the current layout
+    offsets: dict[int, int] = {}
+    versions = np.zeros(0, dtype=np.uint64)
+    content = np.zeros((0, page_size), dtype=np.uint8) if has_bytes else None
     for ckpt in chain:
-        new_state: dict[int, tuple] = {}
-        for rec in ckpt.geometry:
-            versions = np.zeros(rec.npages, dtype=np.uint64)
-            content = (np.zeros((rec.npages, page_size), dtype=np.uint8)
-                       if has_bytes else None)
-            old = state.get(rec.sid)
-            if old is not None:
-                n = min(len(old[1]), rec.npages)
-                versions[:n] = old[1][:n]
-                if content is not None and old[2] is not None:
-                    content[:n] = old[2][:n]
-            new_state[rec.sid] = (rec, versions, content)
-        state = new_state  # segments missing from the geometry are dropped
+        new_sizes = {rec.sid: rec.npages for rec in ckpt.geometry}
+        if new_sizes != sizes:
+            # segments grow, shrink or vanish (new pages arrive zeroed,
+            # segments missing from the geometry are dropped)
+            new_offsets: dict[int, int] = {}
+            total = 0
+            for sid, npages in new_sizes.items():
+                new_offsets[sid] = total
+                total += npages
+            new_versions = np.zeros(total, dtype=np.uint64)
+            new_content = (np.zeros((total, page_size), dtype=np.uint8)
+                           if has_bytes else None)
+            for sid, npages in new_sizes.items():
+                if sid in sizes:
+                    n = min(sizes[sid], npages)
+                    src, dst = offsets[sid], new_offsets[sid]
+                    new_versions[dst:dst + n] = versions[src:src + n]
+                    if has_bytes:
+                        new_content[dst:dst + n] = content[src:src + n]
+            sizes, offsets = new_sizes, new_offsets
+            versions, content = new_versions, new_content
+        unit = ckpt.unit_size
+        per_page = ckpt.page_size // unit
+        units = content.reshape(-1, unit) if has_bytes else None
+        idx_parts, val_parts = [], []
         for payload in ckpt.payloads:
-            entry = state.get(payload.sid)
-            if entry is None:
+            if payload.sid not in sizes:
                 raise RecoveryError(
                     f"payload for unknown segment sid {payload.sid}")
-            rec, versions, content = entry
-            if ckpt.kind == "dcp":
-                # block-granular piece: stamp pages with the max block
-                # hash (== the page's write version under the signature
-                # backend), scatter block bytes into the page grid
-                bpp = ckpt.page_size // ckpt.block_size
-                in_range = payload.indices < rec.npages * bpp
-                idx = payload.indices[in_range]
-                # a page with every block emitted (forced full-page emit
-                # for new/regrown pages, or all blocks changed) takes
-                # exactly max(emitted versions) -- the carried version
-                # may be a stale higher value from before a shrink; a
-                # partially-emitted page keeps its unchanged blocks, so
-                # its version is max(carried, emitted)
-                touched, counts = np.unique(idx // bpp, return_counts=True)
-                versions[touched[counts == bpp]] = 0
-                np.maximum.at(versions, idx // bpp,
-                              payload.versions[in_range])
-                if content is not None and payload.block_bytes is not None:
-                    content.reshape(-1, ckpt.block_size)[idx] = \
-                        payload.block_bytes[in_range]
-                continue
-            in_range = payload.indices < rec.npages
-            versions[payload.indices[in_range]] = payload.versions[in_range]
-            if content is not None and payload.page_bytes is not None:
-                content[payload.indices[in_range]] = \
-                    payload.page_bytes[in_range]
+            local = payload.indices
+            if len(local) and not (0 <= local[0] and local[-1]
+                                   < sizes[payload.sid] * per_page):
+                raise RecoveryError(
+                    f"payload units outside segment sid {payload.sid}")
+            idx = local + offsets[payload.sid] * per_page
+            idx_parts.append(idx)
+            val_parts.append(payload.versions)
+            if units is not None and payload.unit_bytes is not None:
+                units[idx] = payload.unit_bytes
+        if not idx_parts:
+            continue
+        idx = np.concatenate(idx_parts)
+        if not len(idx):
+            continue
+        # stamp each touched page with the max of its emitted unit
+        # versions (a block's version is its page's write version under
+        # the signature backend).  A page with every unit emitted (any
+        # page piece; a forced or fully-changed dcp page) takes exactly
+        # that max -- the carried version may be a stale higher value
+        # from before a shrink; a partially emitted page keeps its
+        # unchanged blocks, so it takes max(carried, emitted).  Units
+        # ascend, so each page's units form one run.
+        pages = idx // per_page
+        edges = np.empty(len(idx) + 1, dtype=bool)
+        edges[0] = edges[-1] = True
+        np.not_equal(pages[1:], pages[:-1], out=edges[1:-1])
+        bounds = edges.nonzero()[0]         # run starts, then len(idx)
+        starts = bounds[:-1]
+        touched = pages[starts]
+        emitted = np.concatenate(val_parts).astype(np.uint64, copy=False)
+        if len(starts) < len(emitted):      # single-unit runs are their max
+            emitted = np.maximum.reduceat(emitted, starts)
+        partial = bounds[1:] - starts < per_page
+        np.maximum(emitted, versions[touched], out=emitted, where=partial)
+        versions[touched] = emitted
+    state = {}
+    for rec in chain[-1].geometry:
+        lo, hi = offsets[rec.sid], offsets[rec.sid] + rec.npages
+        state[rec.sid] = (rec, versions[lo:hi],
+                          None if content is None else content[lo:hi])
     return state
 
 

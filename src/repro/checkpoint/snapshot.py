@@ -5,12 +5,19 @@ A checkpoint carries
 - the *geometry* of every data segment at capture time (kind, base,
   size, and the segment's process-unique ``sid`` so chain replay can
   follow a segment through growth and shrink), and
-- *page payloads*: per segment, the indices of saved pages and their
-  content (64-bit write-version signatures standing in for the page
-  bytes -- see DESIGN.md on content signatures).
+- *unit payloads*: per segment, the ascending indices of the saved
+  units, one 64-bit content word per unit (the write-version signature
+  standing in for the bytes -- see DESIGN.md on content signatures)
+  and, under the bytes backend, the units' raw content.
 
-``nbytes`` models the stable-storage cost: one page of data per saved
-page plus a small per-segment header.
+Every checkpoint kind shares that one payload shape; only the *unit*
+differs.  Full and incremental checkpoints save whole pages, dcp
+checkpoints save sub-page blocks: :attr:`Checkpoint.unit_size` is
+``block_size`` for ``kind == "dcp"`` and ``page_size`` otherwise, so a
+page piece is simply a block piece with one block per page.
+
+``nbytes`` models the stable-storage cost: one unit of data per saved
+unit plus a small per-segment header.
 """
 
 from __future__ import annotations
@@ -40,59 +47,29 @@ class SegmentRecord:
 
 
 @dataclass(frozen=True)
-class PagePayload:
-    """Saved pages of one segment: parallel index/version arrays, plus
-    (under the bytes backend) the real page contents."""
+class UnitPayload:
+    """Saved units of one segment: parallel index/version arrays, plus
+    (under the bytes backend) the real unit contents.
 
-    sid: int
-    indices: np.ndarray    #: page indices within the segment (ascending)
-    versions: np.ndarray   #: content signature per saved page
-    #: real content, shape (npages, page_size) uint8; None under the
-    #: default signature-only backend
-    page_bytes: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.versions):
-            raise CheckpointError("payload index/version length mismatch")
-        if self.page_bytes is not None and len(self.page_bytes) != len(self.indices):
-            raise CheckpointError("payload byte-content length mismatch")
-
-    @property
-    def npages(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class BlockPayload:
-    """Saved sub-page blocks of one segment (dcp mode): parallel
-    block-index/hash arrays, plus (under the bytes backend) the real
-    block contents.
-
-    ``indices`` are flat block indices within the segment (ascending):
-    block ``i`` covers bytes ``[i * block_size, (i + 1) * block_size)``.
-    ``versions`` carries one 64-bit word per saved block -- the block's
-    write version under the signature backend (where it doubles as the
-    content hash), a truncated blake2b content digest under the bytes
-    backend.
+    Unit ``i`` covers segment bytes ``[i * unit_size, (i + 1) *
+    unit_size)``, with the unit size set by the owning checkpoint.
+    ``versions`` carries one 64-bit word per saved unit -- the write
+    version under the signature backend, or for dcp blocks under the
+    bytes backend a truncated blake2b content digest.
     """
 
     sid: int
-    indices: np.ndarray    #: flat block indices within the segment (ascending)
-    versions: np.ndarray   #: content hash / write version per saved block
-    #: real content, shape (nblocks, block_size) uint8; None under the
+    indices: np.ndarray    #: unit indices within the segment (ascending)
+    versions: np.ndarray   #: content signature per saved unit
+    #: real content, shape (nunits, unit_size) uint8; None under the
     #: default signature-only backend
-    block_bytes: np.ndarray | None = None
+    unit_bytes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.versions):
             raise CheckpointError("payload index/version length mismatch")
-        if (self.block_bytes is not None
-                and len(self.block_bytes) != len(self.indices)):
+        if self.unit_bytes is not None and len(self.unit_bytes) != len(self.indices):
             raise CheckpointError("payload byte-content length mismatch")
-
-    @property
-    def nblocks(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -104,9 +81,9 @@ class Checkpoint:
     taken_at: float
     page_size: int
     geometry: tuple[SegmentRecord, ...]
-    payloads: tuple[PagePayload, ...]
+    payloads: tuple[UnitPayload, ...]
     #: sub-page block granularity (bytes); set iff ``kind == "dcp"``,
-    #: whose payloads are :class:`BlockPayload` pieces
+    #: whose payload units are blocks instead of pages
     block_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -124,37 +101,28 @@ class Checkpoint:
             if p.sid not in sids:
                 raise CheckpointError(
                     f"payload for sid {p.sid} has no geometry record")
-            if self.kind == "dcp" and not isinstance(p, BlockPayload):
-                raise CheckpointError(
-                    "dcp checkpoints carry block payloads only")
-            if self.kind != "dcp" and isinstance(p, BlockPayload):
-                raise CheckpointError(
-                    f"{self.kind} checkpoints carry page payloads only")
 
     @property
-    def pages_saved(self) -> int:
-        return sum(p.npages for p in self.payloads
-                   if isinstance(p, PagePayload))
+    def unit_size(self) -> int:
+        """Bytes per saved unit: the block size for dcp pieces, the page
+        size otherwise."""
+        return self.block_size if self.kind == "dcp" else self.page_size
 
     @property
-    def blocks_saved(self) -> int:
-        return sum(p.nblocks for p in self.payloads
-                   if isinstance(p, BlockPayload))
+    def units_saved(self) -> int:
+        return sum(len(p.indices) for p in self.payloads)
 
     @property
     def nbytes(self) -> int:
-        """Modelled size on stable storage.  dcp pieces pay per saved
-        *block*; the per-segment header amortizes the block bitmap, so a
-        dcp delta at ``block_size == page_size`` costs exactly what the
-        page-granular incremental delta would."""
-        if self.kind == "dcp":
-            return (self.blocks_saved * self.block_size
-                    + SEGMENT_HEADER_BYTES * len(self.geometry))
-        return (self.pages_saved * self.page_size
+        """Modelled size on stable storage.  The per-segment header
+        amortizes a dcp piece's block bitmap, so a dcp delta at
+        ``block_size == page_size`` costs exactly what the page-granular
+        incremental delta would."""
+        return (self.units_saved * self.unit_size
                 + SEGMENT_HEADER_BYTES * len(self.geometry))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.units import fmt_bytes
         return (f"<Checkpoint seq={self.seq} {self.kind} "
-                f"pages={self.pages_saved} ({fmt_bytes(self.nbytes)}) "
+                f"units={self.units_saved} ({fmt_bytes(self.nbytes)}) "
                 f"t={self.taken_at:.2f}>")

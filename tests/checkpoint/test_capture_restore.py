@@ -15,8 +15,8 @@ from repro.checkpoint import (
     Checkpoint,
     FullCheckpointer,
     IncrementalCheckpointer,
-    PagePayload,
     SegmentRecord,
+    UnitPayload,
     restore_address_space,
 )
 from repro.checkpoint.recovery import replay_chain
@@ -46,7 +46,7 @@ def restore_and_check(asp, chain):
 def test_checkpoint_nbytes_counts_pages_and_headers():
     asp = make_space()
     ckpt = FullCheckpointer().capture(asp, seq=0)
-    assert ckpt.pages_saved == 6  # 4 data + 2 bss (heap empty)
+    assert ckpt.units_saved == 6  # 4 data + 2 bss (heap empty)
     assert ckpt.nbytes == 6 * PS + 64 * len(ckpt.geometry)
 
 
@@ -55,11 +55,11 @@ def test_checkpoint_validation():
         Checkpoint(seq=0, kind="differential", taken_at=0.0, page_size=PS,
                    geometry=(), payloads=())
     with pytest.raises(CheckpointError):
-        PagePayload(sid=1, indices=np.array([1]), versions=np.array([1, 2]))
+        UnitPayload(sid=1, indices=np.array([1]), versions=np.array([1, 2]))
     with pytest.raises(CheckpointError):
         Checkpoint(seq=0, kind="full", taken_at=0.0, page_size=PS,
                    geometry=(),
-                   payloads=(PagePayload(sid=9, indices=np.array([0]),
+                   payloads=(UnitPayload(sid=9, indices=np.array([0]),
                                          versions=np.array([1])),))
     with pytest.raises(CheckpointError):
         SegmentRecord(sid=1, kind="data", base=0, npages=-1)
@@ -93,6 +93,21 @@ def test_restore_chain_must_start_full():
         replay_chain([delta])
 
 
+def test_replay_rejects_units_outside_their_segment():
+    # a malformed piece (say, read back from a damaged archive without
+    # integrity checks) must not spill into a neighbouring segment
+    asp = make_space()
+    full = FullCheckpointer().capture(asp, seq=0)
+    data = full.geometry[0]
+    bad = Checkpoint(seq=1, kind="incremental", taken_at=1.0, page_size=PS,
+                     geometry=full.geometry,
+                     payloads=(UnitPayload(sid=data.sid,
+                                           indices=np.array([data.npages]),
+                                           versions=np.array([7])),))
+    with pytest.raises(RecoveryError, match="outside segment"):
+        replay_chain([full, bad])
+
+
 def test_restore_page_size_mismatch_rejected():
     asp = make_space()
     chain = [FullCheckpointer().capture(asp, seq=0)]
@@ -110,7 +125,7 @@ def test_incremental_captures_only_dirty_pages():
     inc.mark_baseline()
     asp.cpu_write(asp.data.base, PS)
     delta = inc.capture(seq=1)
-    assert delta.pages_saved == 1
+    assert delta.units_saved == 1
     restore_and_check(asp, [full, delta])
 
 
@@ -125,7 +140,7 @@ def test_incremental_identity_with_iws():
     asp.cpu_write(asp.data.base, 5 * PS)  # rewrite: still 5 unique pages
     assert asp.dirty_pages() == 5
     delta = inc.capture(seq=1)
-    assert delta.pages_saved == asp.dirty_pages() == 5
+    assert delta.units_saved == asp.dirty_pages() == 5
 
 
 def test_incremental_accumulates_across_slices():
@@ -144,7 +159,7 @@ def test_incremental_accumulates_across_slices():
     # slice 2
     asp.cpu_write(asp.data.base + 4 * PS, 2 * PS)
     delta = inc.capture(seq=2)
-    assert delta.pages_saved == 4
+    assert delta.units_saved == 4
     restore_and_check(asp, [full, delta])
 
 
@@ -160,7 +175,7 @@ def test_incremental_captures_heap_growth_even_unprotected():
     asp.cpu_write(asp.heap.base, 2 * PS)   # unprotected: no dirty bits
     assert asp.dirty_pages() == 0
     delta = inc.capture(seq=1)
-    assert delta.pages_saved == 4          # all new heap pages
+    assert delta.units_saved == 4          # all new heap pages
     restore_and_check(asp, [full, delta])
 
 
@@ -188,7 +203,7 @@ def test_incremental_mmap_and_munmap():
     seg = asp.mmap(3 * PS)
     asp.cpu_write(seg.base, 3 * PS)
     d1 = inc.capture(seq=1)
-    assert d1.pages_saved == 3
+    assert d1.units_saved == 3
     restore_and_check(asp, [full, d1])
     # unmap: the segment disappears from the next delta's geometry
     asp.munmap(seg.base, 3 * PS)
@@ -209,7 +224,7 @@ def test_memory_exclusion_saves_bytes():
     asp.cpu_write(seg.base, 64 * PS)
     asp.munmap(seg.base, 64 * PS)
     delta = inc.capture(seq=1)
-    assert delta.pages_saved == 0
+    assert delta.units_saved == 0
 
 
 def test_remap_at_same_base_not_polluted_by_old_content():
@@ -238,7 +253,7 @@ def test_capture_includes_pending_dirty_without_explicit_observe():
     inc.mark_baseline()
     asp.cpu_write(asp.data.base, 2 * PS)
     delta = inc.capture(seq=1)  # no observe() call before
-    assert delta.pages_saved == 2
+    assert delta.units_saved == 2
 
 
 def test_detach_removes_heap_listener():

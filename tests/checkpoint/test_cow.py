@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.apps.synthetic import SyntheticApp, small_spec
-from repro.checkpoint import CheckpointEngine, FullCheckpointer
+from repro.checkpoint import (CheckpointEngine, DcpCheckpointer,
+                              FullCheckpointer)
 from repro.checkpoint.cow import CowWriteout
 from repro.errors import CheckpointError
 from repro.instrument import InstrumentationLibrary, TrackerConfig
@@ -109,6 +110,41 @@ def test_zero_duration_window_inert():
     assert not writeout.active
     proc.memory.cpu_write(proc.memory.data.base, PS)
     assert writeout.cow_copies == 0
+
+
+def test_dcp_piece_pends_the_pages_of_its_captured_blocks():
+    """A dcp piece's indices are block indices: the window must pend the
+    page each captured block belongs to, never a page numbered like a
+    block."""
+    block = 256
+    per_page = PS // block
+    eng, proc = make_process(data_pages=700)
+    mem = proc.memory
+    dcp = DcpCheckpointer(mem, block_size=block)
+    dcp.mark_baseline()
+    proc.mprotect_data()
+    mem.cpu_write(mem.data.base + 10 * PS + 3 * block, 8)
+    ckpt = dcp.capture(seq=1)
+    captured = 10 * per_page + 3
+    assert [p.indices.tolist() for p in ckpt.payloads] == [[captured]]
+    proc.mprotect_data()
+    writeout = CowWriteout(proc, ckpt, duration=10.0)
+    copies = []
+
+    def body():
+        yield Timeout(0.1)
+        # the page numbered like the captured block was never captured
+        mem.cpu_write(mem.data.base + captured * PS, 8)
+        copies.append(writeout.cow_copies)
+        yield Timeout(0.1)
+        # the captured block's own page collides once, as a whole page
+        mem.cpu_write(mem.data.base + 10 * PS, 8)
+        copies.append(writeout.cow_copies)
+
+    SimProcess(eng, body())
+    eng.run(until=0.5)
+    assert copies == [0, 1]
+    assert writeout.cow_time == pytest.approx(PS / (2 * 2 ** 30))
 
 
 def test_engine_cow_integration():

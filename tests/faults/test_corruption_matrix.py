@@ -20,15 +20,24 @@ newest      seq 9 (delta)        walk back to seq 7
 each for all three corruption kinds (flip / truncate / drop).  The
 harmless cells: corruption with no subsequent crash (scan-only), and
 corruption of a delta superseded by a later full before the crash.
+The same cells run over dcp block pieces, and the flip cells once more
+across the disk boundary: one byte flipped inside a saved RCKPT1
+archive must be caught by the scanner and walked back exactly like the
+in-memory flip.
 """
+
+import json
 
 import pytest
 
 from repro.apps.synthetic import small_spec
+from repro.checkpoint import RecoveryManager
 from repro.cluster.experiment import ExperimentConfig
 from repro.errors import RecoveryError
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
 from repro.mem import AddressSpace
+from repro.storage.archive import (_LEN, MAGIC, load_store, save_store,
+                                   scan_store)
 
 SPEC = small_spec(name="matrix", footprint_mb=6, main_mb=3, period=1.0,
                   passes=1.5, comm_mb=0.25, sub_bursts=1)
@@ -240,6 +249,64 @@ def test_dcp_matrix_matches_page_mode_outcomes(reference, dcp_reference):
     assert ([g.seq for g in dcp_reference.lives[0].committed]
             == [g.seq for g in reference.lives[0].committed])
     assert dcp_reference.final_time == reference.final_time
+
+
+# -- the flip cells across the disk boundary ---------------------------------
+
+
+def piece_payload_span(data, rank, seq):
+    """Byte offsets ``(start, end)`` of one piece's payload blob inside
+    an RCKPT1 archive."""
+    offset = len(MAGIC)
+    (length,) = _LEN.unpack_from(data, offset)
+    offset += _LEN.size + length                     # store header
+    while offset < len(data):
+        (length,) = _LEN.unpack_from(data, offset)
+        offset += _LEN.size
+        meta = json.loads(bytes(data[offset:offset + length]))
+        offset += length
+        end = offset + meta["payload_len"]
+        if (meta["rank"], meta["seq"]) == (rank, seq):
+            return offset, end
+        offset = end
+    raise LookupError(f"no piece rank {rank} seq {seq} in the archive")
+
+
+@pytest.mark.parametrize("config", [CONFIG, DCP_CONFIG], ids=["page", "dcp"])
+@pytest.mark.parametrize("seq,t_corrupt,want_seq", POSITIONS)
+def test_archive_flip_walks_back_like_the_in_memory_flip(config, seq,
+                                                         t_corrupt, want_seq,
+                                                         tmp_path):
+    # the uncorrupted store as the crash found it, saved to disk with
+    # the last payload byte of one piece flipped
+    crashed = run_matrix(FaultPlan([CRASH]), config=config)
+    path = save_store(crashed.lives[0].store, tmp_path / "store.rckpt")
+    data = bytearray(path.read_bytes())
+    _, end = piece_payload_span(data, VICTIM, seq)
+    data[end - 1] ^= 0x01
+    path.write_bytes(bytes(data))
+
+    # the scanner flags exactly the flipped piece
+    report = scan_store(path)
+    assert [(p.rank, p.seq, p.status) for p in report.pieces
+            if not p.ok] == [(VICTIM, seq, "corrupt")]
+    assert not report.ok
+
+    # the loaded store walks back to where the in-memory flip cell went
+    in_memory = run_matrix(
+        FaultPlan([corruption(FaultKind.FLIP, t_corrupt, seq), CRASH]),
+        config=config)
+    manager = RecoveryManager(load_store(path))
+    best = manager.best_recovery_seq()
+    assert best == in_memory.failures[0].recovered_seq == want_seq
+    if best is None:
+        return
+    restored = manager.restore_all(best)
+    want = in_memory.restored_signatures[0]
+    assert set(restored) == set(want)
+    for rank, asp in restored.items():
+        assert AddressSpace.signatures_equal(asp.state_signature(),
+                                             want[rank]), (rank, best)
 
 
 def test_integrity_bandwidth_charges_verified_restore_cost():

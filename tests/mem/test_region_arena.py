@@ -56,6 +56,21 @@ def test_reused_segment_page_state_matches_fresh_mapping():
     assert int(again.pages.versions[0]) == 0
 
 
+def test_reused_segment_block_state_matches_fresh_mapping():
+    # dcp block versions are recycled with the page table: a stale block
+    # version would be captured as the new mapping's content and restore
+    # a page version the fresh mapping never had
+    asp = make_space()
+    asp.enable_block_tracking(PS // 4)
+    seg = asp.mmap(2 * PS)
+    asp.cpu_write(seg.base, 2 * PS)
+    assert seg.blocks.versions.any()
+    asp.munmap(seg.base, seg.size)
+    again = asp.mmap(2 * PS)
+    assert again is seg
+    assert not again.blocks.versions.any()
+
+
 def test_addresses_stable_across_alloc_free_iterations():
     """The steady-state pattern -- allocate forward, free forward, as
     FreePhase does -- sees identical per-iteration layouts (FIFO reuse;

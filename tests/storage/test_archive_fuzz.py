@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint.snapshot import Checkpoint, PagePayload, SegmentRecord
+from repro.checkpoint.snapshot import Checkpoint, SegmentRecord, UnitPayload
 import repro
 from repro.cli import main
 from repro.storage import CheckpointStore, archive
@@ -37,10 +37,10 @@ def tiny_store():
                 seq=seq, kind=kind, taken_at=float(seq), page_size=PAGE,
                 geometry=(SegmentRecord(sid=1, kind="data", base=0,
                                         npages=2),),
-                payloads=(PagePayload(
+                payloads=(UnitPayload(
                     sid=1, indices=np.arange(2, dtype=np.int64),
                     versions=np.arange(1, 3, dtype=np.uint64),
-                    page_bytes=rng.integers(0, 256, size=(2, PAGE),
+                    unit_bytes=rng.integers(0, 256, size=(2, PAGE),
                                             dtype=np.uint8)),))
             store.put(rank, seq, kind, ckpt.nbytes, payload=ckpt,
                       stored_at=float(seq))
