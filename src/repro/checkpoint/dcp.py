@@ -12,7 +12,8 @@ Two hashing backends, matching the address space's two content
 backends:
 
 - **signature backend** (default): a block's "hash" is its 64-bit
-  write version from the :class:`~repro.mem.blocks.BlockTable`.  Exact
+  write version from the page table's block rows
+  (:attr:`~repro.mem.pagetable.PageTable.block_versions`).  Exact
   by construction -- a block whose bytes changed was written, so its
   version moved -- and restores are *version-identical*, so driver and
   experiment verification via ``state_signature()`` holds unchanged.
@@ -101,8 +102,7 @@ class DcpCheckpointer(IncrementalCheckpointer):
         ``(len(pages), blocks_per_page)``."""
         if seg.contents is not None:
             return content_block_hashes(seg, pages, self.block_size)
-        bpp = self.blocks_per_page
-        return seg.blocks.versions.reshape(-1, bpp)[pages].copy()
+        return seg.pages.block_versions[pages]
 
     def _baseline_for(self, seg: Segment) -> np.ndarray:
         """The segment's baseline vector, resized to its current

@@ -19,7 +19,7 @@ from repro.checkpoint.snapshot import Checkpoint, SegmentRecord
 from repro.errors import CorruptionError, RecoveryError
 from repro.mem import AddressSpace, Layout, SegmentKind
 from repro.storage import CheckpointStore
-from repro.storage.integrity import ChainVerification, verify_chain
+from repro.storage.integrity import verify_chain
 
 
 def replay_chain(chain: Sequence[Checkpoint]) \
@@ -292,13 +292,6 @@ class RecoveryManager:
         if any(c is None for c in chain):
             raise RecoveryError("stored pieces are missing checkpoint payloads")
         return chain
-
-    def verify_all(self, seq: Optional[int] = None) -> list[ChainVerification]:
-        """Verify every rank's chain up to ``seq`` (default: latest
-        stored); outcomes, never exceptions -- the scan behind
-        ``repro ckpt verify``."""
-        return [self.store.verify_chain(rank, upto_seq=seq)
-                for rank in range(self.store.nranks)]
 
     def best_recovery_seq(self) -> Optional[int]:
         """The newest committed sequence every rank's chain verifies to

@@ -328,13 +328,6 @@ class CheckpointTransport:
             )
         return cache
 
-    def _update_queue_gauges(self) -> None:
-        obs = self.engine.obs
-        if obs.enabled:
-            cache = self._gauge_obs(obs)
-            cache[1].set(self.queue_bytes())
-            cache[2].set(self.peak_queue_bytes())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} mode={self.spec.mode!r} "
                 f"pieces={self.pieces} in_flight={self.queue_bytes()}>")

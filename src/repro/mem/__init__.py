@@ -6,7 +6,8 @@ library relies on:
 - an address space divided into text, data, BSS, heap, stack and mmap
   segments (:mod:`~repro.mem.layout`, :mod:`~repro.mem.segment`);
 - per-page *write protection* and *dirty* state, maintained in vectorized
-  NumPy bitmaps (:mod:`~repro.mem.pagetable`);
+  NumPy bitmaps (:mod:`~repro.mem.pagetable`), plus optional per-block
+  version rows in the same table for sub-page (dcp) checkpoints;
 - the fault path: a CPU store to a protected page raises a write fault,
   which the registered handler (the dirty-page tracker) services by
   recording the page and unprotecting it -- so each page faults at most
@@ -18,7 +19,6 @@ library relies on:
   correctness can be verified without storing gigabytes.
 """
 
-from repro.mem.blocks import BlockTable
 from repro.mem.layout import Layout
 from repro.mem.pagetable import PageTable
 from repro.mem.segment import Segment, SegmentKind
@@ -26,7 +26,6 @@ from repro.mem.address_space import AddressSpace, WriteResult
 
 __all__ = [
     "AddressSpace",
-    "BlockTable",
     "Layout",
     "PageTable",
     "Segment",

@@ -214,14 +214,9 @@ class AddressSpace:
 
     # -- block tracking (dcp checkpoint support) --------------------------------------
 
-    @property
-    def block_size(self) -> Optional[int]:
-        """Sub-page block granularity, or None when block tracking is off."""
-        return self._block_size
-
     def enable_block_tracking(self, block_size: int) -> int:
-        """Attach block-granular write-version tracking to every data
-        segment (present and future); returns blocks per page.
+        """Give every data segment's page table (present and future)
+        block-version rows of ``block_size`` bytes; returns blocks per page.
 
         The write paths then stamp exactly the blocks each store covers
         with the same monotonic version the page table records, giving
@@ -240,15 +235,14 @@ class AddressSpace:
                 f"page size {self.page_size}")
         self._block_size = block_size
         for seg in self.data_segments():
-            seg.enable_blocks(block_size)
+            self._attach_blocks(seg)
         return self.page_size // block_size
 
     def _attach_blocks(self, seg: Segment) -> None:
-        """Give a newly mapped data segment its block table when block
-        tracking is on (arena-reused segments may already carry one)."""
-        if (self._block_size is not None and seg.blocks is None
-                and seg.kind.is_data_memory):
-            seg.enable_blocks(self._block_size)
+        """Give a newly mapped data segment block rows when block
+        tracking is on (arena-reused segments may already carry them)."""
+        if self._block_size is not None and seg.kind.is_data_memory:
+            seg.pages.enable_blocks(self.page_size // self._block_size)
 
     # -- write paths ----------------------------------------------------------------
 
@@ -289,13 +283,13 @@ class AddressSpace:
         actually stored; whole-page callers mark every covered block.
         """
         self._version = version = self._version + 1
-        faults = seg.pages.cpu_write(lo, hi, version)
-        blocks = seg.blocks
-        if blocks is not None:
+        pages = seg.pages
+        faults = pages.cpu_write(lo, hi, version)
+        if pages.blocks_per_page:
             if _byte_span is None:
-                blocks.mark_pages(lo, hi, version)
+                pages.block_versions[lo:hi] = version
             else:
-                blocks.mark_bytes(_byte_span[0], _byte_span[1], version)
+                seg.mark_block_bytes(_byte_span[0], _byte_span[1], version)
         if seg.kind is SegmentKind.STACK:
             if self._stack_low_page is None or lo < self._stack_low_page:
                 self._stack_low_page = lo
@@ -321,10 +315,9 @@ class AddressSpace:
         lo, hi = seg.page_range(addr, size)
         version = self._next_version()
         missed = seg.pages.dma_write(lo, hi, version)
-        blocks = seg.blocks
-        if blocks is not None:
+        if seg.pages.blocks_per_page:
             off = addr - seg.base
-            blocks.mark_bytes(off, off + size, version)
+            seg.mark_block_bytes(off, off + size, version)
         self._store_bytes(seg, addr, size, data)
         return WriteResult(pages=hi - lo, faults=0, missed=missed)
 
@@ -495,15 +488,12 @@ class AddressSpace:
         if addr > seg.base:
             head_pages = (addr - seg.base) // self.page_size
             mid_table = seg.pages.split(head_pages)  # seg keeps the head
-            mid_blocks = (seg.blocks.split(head_pages)
-                          if seg.blocks is not None else None)
             if seg.contents is not None:
                 del seg.contents[head_pages * self.page_size:]
             self._mmaps[seg.base] = seg
             self._invalidate_caches()
         else:
             mid_table = seg.pages
-            mid_blocks = seg.blocks
         if addr + size < orig_end:
             tail_base = addr + size
             tail_table = mid_table.split(size // self.page_size)
@@ -511,8 +501,6 @@ class AddressSpace:
                            self.page_size, name=f"{seg.name}+tail",
                            store_contents=self.store_contents)
             tail.pages = tail_table
-            if mid_blocks is not None:
-                tail.blocks = mid_blocks.split(size // self.page_size)
             if orig_contents is not None:
                 off = tail_base - orig_base
                 tail.contents = bytearray(

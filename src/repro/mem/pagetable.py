@@ -14,10 +14,22 @@ Three NumPy arrays hold the page state:
     which is how checkpoint-restore correctness is asserted without
     storing page payloads.
 
+Optional **block rows** (``enable_blocks``, the dcp checkpoint mode)
+add the same version state one level finer: ``block_versions`` is an
+``npages x blocks_per_page`` uint64 view, and the address-space write
+paths stamp exactly the blocks a store covered with the same version
+they stamp the page.  The invariant dcp capture and chain replay rely
+on: **a page's version always equals the maximum over its blocks**,
+because every write stamps at least one covered block of every page it
+touches.  Restoring the saved blocks of a dirty page and taking the
+per-page maximum therefore reproduces the page-granular state
+signature exactly.  With block rows off (``blocks_per_page == 0``)
+nothing here does any block work.
+
 All bulk operations are O(range) NumPy slices; a full-scale Sage-1000MB
 footprint is ~61k pages, so a whole timeslice costs microseconds.
 
-The three visible arrays are *views* into over-allocated backing buffers
+The visible arrays are *views* into over-allocated backing buffers
 that grow geometrically, so the brk/sbrk growth pattern (thousands of
 small increments during Sage's allocation phase) costs amortized O(1)
 per page instead of one full ``np.concatenate`` copy per call.
@@ -36,7 +48,9 @@ class PageTable:
     """Page-granular protection / dirty / version state."""
 
     __slots__ = ("npages", "protected", "dirty", "versions",
+                 "blocks_per_page", "block_versions",
                  "_capacity", "_protected_buf", "_dirty_buf", "_versions_buf",
+                 "_block_versions_buf",
                  "_ndirty", "_dirty_overlap", "_all_protected", "_hwm")
 
     def __init__(self, npages: int):
@@ -54,6 +68,10 @@ class PageTable:
         #: True when every page is known write-protected -- lets the
         #: alarm's re-protect sweep skip untouched segments entirely
         self._all_protected = False
+        #: sub-page blocks per page; 0 keeps the table block-free
+        self.blocks_per_page = 0
+        self.block_versions: Optional[np.ndarray] = None
+        self._block_versions_buf: Optional[np.ndarray] = None
         self._allocate(npages, npages)
 
     def _allocate(self, capacity: int, preserve: int = 0) -> None:
@@ -66,6 +84,11 @@ class PageTable:
             protected[:preserve] = self._protected_buf[:preserve]
             dirty[:preserve] = self._dirty_buf[:preserve]
             versions[:preserve] = self._versions_buf[:preserve]
+        if self.blocks_per_page:
+            blocks = np.zeros((capacity, self.blocks_per_page),
+                              dtype=np.uint64)
+            blocks[:preserve] = self._block_versions_buf[:preserve]
+            self._block_versions_buf = blocks
         self._capacity = capacity
         self._protected_buf = protected
         self._dirty_buf = dirty
@@ -81,6 +104,37 @@ class PageTable:
         self.protected = self._protected_buf[:n]
         self.dirty = self._dirty_buf[:n]
         self.versions = self._versions_buf[:n]
+        if self.blocks_per_page:
+            self.block_versions = self._block_versions_buf[:n]
+
+    # -- block rows (dcp checkpoint support) ----------------------------------
+
+    def enable_blocks(self, blocks_per_page: int) -> None:
+        """Attach block-version rows of ``blocks_per_page`` blocks per
+        page, every block at version 0 (idempotent for the same width)."""
+        if self.blocks_per_page:
+            if self.blocks_per_page != blocks_per_page:
+                raise MappingError(
+                    f"page table already tracks {self.blocks_per_page} "
+                    f"blocks per page, cannot switch to {blocks_per_page}")
+            return
+        if blocks_per_page < 1:
+            raise MappingError(f"bad blocks per page {blocks_per_page}")
+        self.blocks_per_page = blocks_per_page
+        self._block_versions_buf = np.zeros(
+            (self._capacity, blocks_per_page), dtype=np.uint64)
+        self._reslice()
+
+    def mark_blocks(self, lo: int, hi: int, version: int) -> None:
+        """Stamp ``version`` on the flat block range ``[lo, hi)`` (block
+        ``b`` is block ``b % blocks_per_page`` of page
+        ``b // blocks_per_page``)."""
+        if (not self.blocks_per_page
+                or not 0 <= lo <= hi <= self.npages * self.blocks_per_page):
+            raise MappingError(
+                f"block range [{lo}, {hi}) outside table of {self.npages} "
+                f"pages x {self.blocks_per_page} blocks")
+        self.block_versions.reshape(-1)[lo:hi] = version
 
     # -- writes ---------------------------------------------------------------
 
@@ -202,7 +256,7 @@ class PageTable:
 
     def resize(self, npages: int) -> None:
         """Grow or shrink the table.  New pages arrive unprotected, clean,
-        and at version 0 (zero-filled by the kernel).
+        and at version 0 (zero-filled by the kernel), block rows included.
 
         Shrinking just narrows the views; growing back within capacity
         wipes only the re-exposed range that ever held state (tracked by
@@ -228,6 +282,8 @@ class PageTable:
                 self._protected_buf[old:wipe_hi] = False
                 self._dirty_buf[old:wipe_hi] = False
                 self._versions_buf[old:wipe_hi] = 0
+                if self.blocks_per_page:
+                    self._block_versions_buf[old:wipe_hi] = 0
         if npages > self._hwm:
             # every exposed page may come to hold state
             self._hwm = npages
@@ -245,15 +301,18 @@ class PageTable:
 
     def recycle(self) -> None:
         """Reset to the state a freshly constructed table of the same
-        ``npages`` would have: every page unprotected, clean, version 0
-        (the region arena reuses a parked segment instead of rebuilding
-        it).  Only the range that ever held state (up to the high-water
-        mark) is wiped, and the over-allocated buffers are kept."""
+        ``npages`` would have: every page unprotected, clean, version 0,
+        every block at version 0 (the region arena reuses a parked
+        segment instead of rebuilding it).  Only the range that ever held
+        state (up to the high-water mark) is wiped, and the
+        over-allocated buffers are kept."""
         hwm = self._hwm
         if hwm:
             self._protected_buf[:hwm] = False
             self._dirty_buf[:hwm] = False
             self._versions_buf[:hwm] = 0
+            if self.blocks_per_page:
+                self._block_versions_buf[:hwm] = 0
         # a fresh PageTable(npages) starts with _hwm == npages
         self._hwm = self.npages
         self._ndirty = 0
@@ -268,6 +327,9 @@ class PageTable:
         tail.protected[:] = self.protected[at:]
         tail.dirty[:] = self.dirty[at:]
         tail.versions[:] = self.versions[at:]
+        if self.blocks_per_page:
+            tail.enable_blocks(self.blocks_per_page)
+            tail.block_versions[:] = self.block_versions[at:]
         tail._ndirty = int(np.count_nonzero(tail.dirty))
         tail._dirty_overlap = self._dirty_overlap
         tail._all_protected = False

@@ -13,7 +13,6 @@ import itertools
 from typing import Optional
 
 from repro.errors import MappingError
-from repro.mem.blocks import BlockTable
 from repro.mem.pagetable import PageTable
 from repro.units import is_power_of_two
 
@@ -48,7 +47,7 @@ class Segment:
     """
 
     __slots__ = ("sid", "kind", "base", "page_size", "pages", "name",
-                 "contents", "blocks")
+                 "contents")
 
     def __init__(self, kind: SegmentKind, base: int, size: int,
                  page_size: int, name: str = "", sid: Optional[int] = None,
@@ -69,20 +68,17 @@ class Segment:
         #: default signature-only backend
         self.contents: Optional[bytearray] = (
             bytearray(size) if store_contents else None)
-        #: sub-page block-version state (dcp checkpoint mode); None until
-        #: :meth:`enable_blocks` / AddressSpace.enable_block_tracking
-        self.blocks: Optional[BlockTable] = None
 
-    def enable_blocks(self, block_size: int) -> None:
-        """Attach block-granular write tracking at ``block_size`` bytes
-        per block (idempotent for the same size)."""
-        if self.blocks is not None:
-            if self.blocks.block_size != block_size:
-                raise MappingError(
-                    f"segment {self.name!r} already tracks "
-                    f"{self.blocks.block_size}-byte blocks")
-            return
-        self.blocks = BlockTable(self.npages, self.page_size, block_size)
+    # -- block tracking (dcp checkpoint mode) ---------------------------------
+
+    def mark_block_bytes(self, lo: int, hi: int, version: int) -> None:
+        """A store covering segment byte offsets ``[lo, hi)``: stamp
+        ``version`` on exactly the blocks the byte range intersects --
+        the sub-page precision dcp checkpoints harvest.  The block size
+        is not stored separately: it is the page size over the page
+        table's ``blocks_per_page``."""
+        bs = self.page_size // self.pages.blocks_per_page
+        self.pages.mark_blocks(lo // bs, (hi - 1) // bs + 1, version)
 
     # -- geometry -------------------------------------------------------------
 
@@ -139,7 +135,8 @@ class Segment:
         incremental-checkpoint deltas, replayed page versions, integrity
         digests -- sees exactly what a from-scratch construction would
         have produced; only the host-side allocations are saved.  The
-        page table is recycled to its fresh all-clean state.
+        page table (block rows included) is recycled to its fresh
+        all-clean state.
         """
         if base % self.page_size:
             raise MappingError(f"segment base {base:#x} not page-aligned")
@@ -147,8 +144,6 @@ class Segment:
         self.base = base
         self.name = name
         self.pages.recycle()
-        if self.blocks is not None:
-            self.blocks.recycle()
 
     # -- growth ---------------------------------------------------------------
 
@@ -156,8 +151,6 @@ class Segment:
         """Grow/shrink in place (heap via brk, stack growth).  New byte
         content arrives zero-filled, like the kernel's fresh pages."""
         self.pages.resize(npages)
-        if self.blocks is not None:
-            self.blocks.resize(npages)
         if self.contents is not None:
             new_size = npages * self.page_size
             if new_size > len(self.contents):
@@ -186,30 +179,6 @@ class Segment:
         self.page_range(addr, size)  # bounds check
         offset = addr - self.base
         return bytes(self.contents[offset:offset + size])
-
-    def page_bytes(self, page_index: int) -> bytes:
-        """One whole page of content (checkpoint capture granularity)."""
-        if self.contents is None:
-            raise MappingError(
-                f"segment {self.name!r} does not store byte contents")
-        if not (0 <= page_index < self.npages):
-            raise MappingError(f"page {page_index} outside segment")
-        off = page_index * self.page_size
-        return bytes(self.contents[off:off + self.page_size])
-
-    def set_page_bytes(self, page_index: int, data: bytes) -> None:
-        """Overwrite one whole page of content (checkpoint restore)."""
-        if self.contents is None:
-            raise MappingError(
-                f"segment {self.name!r} does not store byte contents")
-        if len(data) != self.page_size:
-            raise MappingError(
-                f"page payload of {len(data)} bytes != page size "
-                f"{self.page_size}")
-        if not (0 <= page_index < self.npages):
-            raise MappingError(f"page {page_index} outside segment")
-        off = page_index * self.page_size
-        self.contents[off:off + self.page_size] = data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment #{self.sid} {self.name!r} {self.kind.value} "

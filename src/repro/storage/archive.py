@@ -192,8 +192,11 @@ def load_store(path: Union[str, Path]) -> CheckpointStore:
         if piece.object is None:
             raise StorageError(
                 f"cannot load {path}: piece {piece.label} is {piece.status}")
-        chain = store._chains[piece.object.rank]
-        chain.append(piece.object)
+        if not 0 <= piece.rank < report.nranks:
+            raise StorageError(
+                f"cannot load {path}: piece {piece.label} names a rank "
+                f"outside the archive's {report.nranks} rank(s)")
+        store._chains[piece.rank].append(piece.object)
     store._committed = list(report.committed)
     return store
 

@@ -128,7 +128,7 @@ def test_block_version_vectors_deterministic(history, seed):
         asp.enable_block_tracking(64)
         for interval in history:
             apply_interval(asp, rng, interval, False)
-        vecs.append(asp.data.blocks.versions.copy())
+        vecs.append(asp.data.pages.block_versions.copy())
     assert np.array_equal(vecs[0], vecs[1])
 
 

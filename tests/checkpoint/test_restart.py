@@ -11,18 +11,20 @@ from repro.mem import AddressSpace
 from repro.mpi import MPIJob
 from repro.sim import Engine
 from repro.storage import CheckpointStore
+from repro.storage.archive import load_store, save_store
 
 SPEC = small_spec(name="restartable", footprint_mb=8, main_mb=4,
                   period=1.0, passes=1.0, comm_mb=0.25)
 
 
-def run_until_failure(fail_at=5.25):
+def run_until_failure(fail_at=5.25, mode="incremental"):
     """First life: run, checkpoint, fail a rank."""
     engine = Engine()
     app = SyntheticApp(SPEC, n_iterations=1000)
     job = MPIJob(engine, 2, process_factory=app.process_factory(engine))
     lib = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job)
-    ckpt = CheckpointEngine(job, lib, interval_slices=2, full_every=4)
+    ckpt = CheckpointEngine(job, lib, interval_slices=2, full_every=4,
+                            mode=mode, dcp_block_size=512)
     reference = {}
 
     def install_snap(ctx):
@@ -158,3 +160,43 @@ def test_apply_chain_strict_geometry_checks():
     eng.run(detect_deadlock=True)
     with pytest.raises(RecoveryError):
         apply_chain(job3.processes[0].memory, chain, strict=True)
+
+
+def restored_signatures(store, seq):
+    """Restart a fresh 2-rank job from ``store`` at ``seq`` and return
+    each rank's state signature at the restore point."""
+    engine = Engine()
+    coordinator = RestartCoordinator(store, SyntheticApp(SPEC, n_iterations=1))
+    job = coordinator.restart(engine, seq=seq)
+    sigs = {}
+    procs = coordinator.launch(
+        job, on_restored=lambda ctx: sigs.__setitem__(
+            ctx.rank, ctx.memory.state_signature()))
+    engine.run(detect_deadlock=True)
+    for p in procs:
+        if p.exception is not None:
+            raise p.exception
+    return sigs
+
+
+@pytest.mark.parametrize("mode,delta_kind", [("incremental", "incremental"),
+                                             ("dcp", "dcp")])
+def test_restart_from_loaded_archive_matches_in_memory_store(
+        tmp_path, mode, delta_kind):
+    """save_store -> load_store -> restart restores every rank exactly
+    as the in-memory store does, for a page chain and a dcp chain."""
+    _, ckpt, reference = run_until_failure(mode=mode)
+    store = ckpt.store
+    # the newest committed sequence whose chain ends in a delta piece
+    seq = max(o.seq for o in store.pieces(0) if o.kind == delta_kind
+              and o.seq in store.committed_sequences())
+    loaded = load_store(save_store(store, tmp_path / "store.rckpt"))
+    from_archive = restored_signatures(loaded, seq)
+    in_memory = restored_signatures(store, seq)
+    assert sorted(from_archive) == sorted(in_memory) == [0, 1]
+    for rank in range(2):
+        assert AddressSpace.signatures_equal(from_archive[rank],
+                                             in_memory[rank]), \
+            f"rank {rank} restored from the archive differs"
+        assert AddressSpace.signatures_equal(in_memory[rank],
+                                             reference[(rank, seq)])

@@ -64,11 +64,11 @@ def test_reused_segment_block_state_matches_fresh_mapping():
     asp.enable_block_tracking(PS // 4)
     seg = asp.mmap(2 * PS)
     asp.cpu_write(seg.base, 2 * PS)
-    assert seg.blocks.versions.any()
+    assert seg.pages.block_versions.any()
     asp.munmap(seg.base, seg.size)
     again = asp.mmap(2 * PS)
     assert again is seg
-    assert not again.blocks.versions.any()
+    assert not again.pages.block_versions.any()
 
 
 def test_addresses_stable_across_alloc_free_iterations():

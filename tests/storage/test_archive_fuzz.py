@@ -20,7 +20,8 @@ from repro.checkpoint.snapshot import Checkpoint, SegmentRecord, UnitPayload
 import repro
 from repro.cli import main
 from repro.storage import CheckpointStore, archive
-from repro.storage.archive import MAGIC, save_store, scan_store
+from repro.errors import StorageError
+from repro.storage.archive import MAGIC, load_store, save_store, scan_store
 
 PAGE = 64
 
@@ -139,6 +140,20 @@ def test_cli_verify_exit_codes_stay_in_contract(archive_bytes, tmp_path):
 
     missing = tmp_path / "nope.rckpt"
     assert main(["ckpt", "verify", str(missing)], out=io.StringIO()) == 2
+
+
+def test_load_rejects_piece_rank_outside_the_archive(archive_bytes,
+                                                     tmp_path):
+    """A piece header naming a rank the archive does not have scans as a
+    bad piece, and loading it raises StorageError (not KeyError)."""
+    assert archive_bytes.count(b'"rank": 1') >= 1
+    path = tmp_path / "rank.rckpt"
+    # same length, so every frame boundary stays where it was
+    path.write_bytes(archive_bytes.replace(b'"rank": 1', b'"rank": 7', 1))
+    report = scan_must_report(path)
+    assert [p.label for p in report.pieces if not p.ok] == ["rank 7 seq 1"]
+    with pytest.raises(StorageError, match="rank"):
+        load_store(path)
 
 
 # -- atomic saves ---------------------------------------------------------------
