@@ -179,24 +179,14 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig,
-                   obs=None, *,
-                   coalesce_timers: bool = True,
-                   coalesce_events: bool = True) -> ExperimentResult:
+                   obs=None) -> ExperimentResult:
     """Run one instrumented experiment on the simulated cluster.
 
     ``obs`` (a :class:`repro.obs.Observability`) threads a tracer,
     metrics registry, and progress feed through the engine and every
     component hanging off it; ``None`` (the default) is the zero-cost
-    disabled path.
-
-    ``coalesce_timers=False`` selects the seed per-timer engine path
-    instead of the coalesced :class:`~repro.sim.timers.TimerHub` (the
-    differential suite compares the two).  ``coalesce_events=False`` likewise selects the seed
-    one-event-per-wake/per-delivery engine path instead of the coalesced
-    batches (:meth:`~repro.sim.Engine.schedule_coalesced`)."""
-    engine = Engine(obs=obs, coalesce_timers=coalesce_timers,
-                    coalesce_wakes=coalesce_events,
-                    coalesce_deliveries=coalesce_events)
+    disabled path."""
+    engine = Engine(obs=obs)
     layout = Layout(page_size=config.page_size)
     run_duration = (config.run_duration
                     if config.run_duration is not None

@@ -19,7 +19,7 @@ bulk-synchronous codes whose communication happens in sparse bursts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.errors import NetworkError
 from repro.net.message import Message
@@ -209,45 +209,31 @@ class Network:
                 tracer.complete("net.send", "net", now, arrival - now,
                                 track=tx_tracks[msg.src], dst=msg.dst,
                                 size=msg.size, tag=msg.tag)
-        if self.engine.coalesce_deliveries:
-            # same-arrival deliveries -- across senders, not just within
-            # one batch -- share a single engine event, drained in send
-            # order (the order separate events would have fired in)
-            self.engine.schedule_coalesced(arrival, self._deliver_one, msg)
-        else:
-            self.engine.schedule_at(arrival, self._deliver, msg)
+        # same-arrival deliveries -- across senders, not just within one
+        # batch -- share a single engine event, drained in send order
+        # (the order separate events would have fired in)
+        self.engine.schedule_coalesced(arrival, self._deliver_one, msg)
         return arrival
 
     def send_many(self, msgs: list[Message]) -> list[float]:
         """Inject a batch (one sender's collective fan-out); returns the
         arrival times.
 
-        Timing, byte accounting, and obs events are exactly what
-        :meth:`send` called once per message would produce -- the batch
-        shares one pass over the link clocks and one obs lookup, and
-        schedules one delivery event per *distinct arrival time* instead
-        of one per message, so equal-arrival messages (loopback copies,
-        zero-byte control traffic, incast-serialized streams) coalesce.
-        Distinct arrival times keep distinct events: delivery must fire
-        at each message's own timestamp for the simulated timeline to be
-        bit-identical to the unbatched path.
+        Timing, byte accounting, obs events and deliveries are exactly
+        what :meth:`send` called once per message would produce; the
+        batch shares one obs lookup.
         """
         if not msgs:
             return []
         if len(msgs) == 1:
-            # single-message batch: the plain send path, no group
-            # structures allocated
             return [self.send(msgs[0])]
         now = self.engine.now
         obs = self.engine.obs
         if obs.enabled:
             _, ctr_msgs, ctr_bytes, tracer, tx_tracks = self._send_obs(obs)
-        coalesce = self.engine.coalesce_deliveries
-        if coalesce:
-            schedule_coalesced = self.engine.schedule_coalesced
-            deliver_one = self._deliver_one
+        schedule_coalesced = self.engine.schedule_coalesced
+        deliver_one = self._deliver_one
         arrivals: list[float] = []
-        groups: dict[float, Any] = {}
         for msg in msgs:
             self._check_node(msg.src)
             self._check_node(msg.dst)
@@ -260,32 +246,10 @@ class Network:
                                     track=tx_tracks[msg.src], dst=msg.dst,
                                     size=msg.size, tag=msg.tag)
             arrivals.append(arrival)
-            if coalesce:
-                # the engine's open-batch bookkeeping does the distinct-
-                # arrival grouping -- and extends it across send_many
-                # calls from other ranks at the same instant
-                schedule_coalesced(arrival, deliver_one, msg)
-                continue
-            grp = groups.get(arrival)
-            if grp is None:
-                groups[arrival] = msg
-            elif type(grp) is list:
-                grp.append(msg)
-            else:
-                groups[arrival] = [grp, msg]
-        if coalesce:
-            return arrivals
-        schedule_at = self.engine.schedule_at
-        # group events are created here, in first-arrival-seen order, so
-        # their insertion sequence is a monotone renumbering of the
-        # per-message events' -- every same-time tie (inside a group, or
-        # against events scheduled before/after this batch) breaks the
-        # same way the unbatched path broke it
-        for arrival, grp in groups.items():
-            if type(grp) is list:
-                schedule_at(arrival, self._deliver_batch, grp)
-            else:
-                schedule_at(arrival, self._deliver, grp)
+            # the engine's open-batch bookkeeping does the distinct-
+            # arrival grouping -- and extends it across send_many calls
+            # from other ranks at the same instant
+            schedule_coalesced(arrival, deliver_one, msg)
         return arrivals
 
     # -- checkpoint transport ----------------------------------------------------
@@ -382,13 +346,6 @@ class Network:
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
         sink(msg)
-
-    def _deliver_batch(self, msgs: list[Message]) -> None:
-        """Deliver same-arrival-time messages in submission order (the
-        order their individual events would have fired in)."""
-        deliver = self._deliver
-        for msg in msgs:
-            deliver(msg)
 
     def detach(self, node: int) -> None:
         """Remove a node's NIC (failure injection): in-flight messages to

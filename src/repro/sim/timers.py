@@ -11,9 +11,9 @@ At scale the per-rank expiries dominate the event queue: 1024 ranks at a
 all at the same instant and priority.  :class:`TimerHub` coalesces them:
 timers sharing an ``(interval, next expiry)`` group are swept by **one**
 queued engine event per epoch, in enrollment order -- which equals the
-per-timer path's sequence order, so the simulation is bit-identical
-(asserted by the differential suite in
-``tests/instrument/test_coalesced_differential.py``).
+sequence order one event per expiry would fire in, so the simulation
+is the one the golden traces recorded before the hub existed (pinned
+by the digests in ``tests/sim/dispatch_reference.py``).
 """
 
 from __future__ import annotations
@@ -30,17 +30,18 @@ class TimerHub:
     Timers are grouped by ``(interval, next_expiry)``.  A group owns one
     queued engine event; firing it sweeps the members in enrollment
     order, advancing and re-enrolling each *before* its handler runs --
-    the exact operation order of the per-timer path, so sequence-number
-    ties resolve identically and the event stream is unchanged.
+    the operation order of one queued event per expiry, so
+    sequence-number ties resolve identically and the event stream is
+    unchanged.
 
     Ordering note: members of one group re-arm contiguously, so a
-    group's next event takes the sequence slot the per-timer path would
-    have given its first member.  Timer populations whose arms
+    group's next event takes the sequence slot one event per expiry
+    would have given its first member.  Timer populations whose arms
     *interleave* across different ``(interval, phase)`` groups would be
     swept group-by-group rather than in global arm order; no such
     population exists in this codebase (every tracker of a run shares
-    the one checkpoint timeslice), and each path is individually
-    deterministic either way.
+    the one checkpoint timeslice), and the sweep is deterministic
+    either way.
     """
 
     __slots__ = ("engine", "_groups", "epochs", "expiries_swept",
@@ -98,8 +99,8 @@ class TimerHub:
             index = timer.expiries
             timer.expiries += 1
             timer._next_time += timer.interval
-            self._enroll(timer)             # re-arm before handler, as the
-            timer.handler(index)            # per-timer path does
+            self._enroll(timer)             # re-arm before the handler,
+            timer.handler(index)            # so a reset/cancel in it wins
         group.members = ()
         group.live = 0
 
@@ -130,9 +131,9 @@ class IntervalTimer:
     paper's requirement that the alarm samples the dirty pages written
     *before* the boundary.
 
-    When the engine has ``coalesce_timers`` set (the default), expiries
-    are delivered through the engine's shared :class:`TimerHub` instead
-    of a per-timer queued event; behaviour and ordering are identical.
+    Expiries are delivered through the engine's shared :class:`TimerHub`
+    (created by the engine's first timer), which sweeps every timer of
+    one ``(interval, next expiry)`` group from a single queued event.
     """
 
     def __init__(self, engine: Engine, interval: float,
@@ -146,35 +147,18 @@ class IntervalTimer:
         self.name = name
         self.expiries = 0
         self._armed = False
-        self._event: Optional[Event] = None
         self._group: Optional[_TimerGroup] = None
-        if engine.coalesce_timers:
-            hub = engine.timer_hub
-            if hub is None:
-                hub = engine.timer_hub = TimerHub(engine)
-            self._hub: Optional[TimerHub] = hub
-        else:
-            self._hub = None
+        hub = engine.timer_hub
+        if hub is None:
+            hub = engine.timer_hub = TimerHub(engine)
+        self._hub: TimerHub = hub
         self._next_time = engine.now + (self.interval if start_after is None
                                         else float(start_after))
         self._arm()
 
     def _arm(self) -> None:
         self._armed = True
-        if self._hub is not None:
-            self._hub._enroll(self)
-        else:
-            self._event = self.engine.schedule_at(
-                self._next_time, self._fire, priority=PRIORITY_TIMER)
-
-    def _fire(self) -> None:
-        if not self._armed:
-            return
-        index = self.expiries
-        self.expiries += 1
-        self._next_time += self.interval
-        self._arm()
-        self.handler(index)
+        self._hub._enroll(self)
 
     @property
     def armed(self) -> bool:
@@ -187,11 +171,7 @@ class IntervalTimer:
     def cancel(self) -> None:
         """Disarm the timer; pending expiry is dropped."""
         self._armed = False
-        if self._hub is not None:
-            self._hub._withdraw(self)
-        elif self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._hub._withdraw(self)
 
     def reset(self, interval: Optional[float] = None) -> None:
         """Re-arm the timer, optionally with a new interval, starting now."""

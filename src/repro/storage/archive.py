@@ -293,7 +293,8 @@ def scan_store(path: Union[str, Path]) -> StoreScanReport:
         npieces = int(header["pieces"])
         if nranks < 1 or npieces < 0:
             raise StorageError("nonsense store header counts")
-    except (StorageError, ValueError, KeyError, TypeError) as exc:
+    except (StorageError, ValueError, KeyError, TypeError,
+            OverflowError) as exc:
         return StoreScanReport(path=str(path),
                                error=f"unreadable store header: {exc}")
 
@@ -314,7 +315,13 @@ def scan_store(path: Union[str, Path]) -> StoreScanReport:
             payload_len = int(meta["payload_len"])
             if payload_len < 0 or nbytes < 0:
                 raise ValueError("negative length")
-        except (ValueError, KeyError, TypeError) as exc:
+            stored_at = float(meta.get("stored_at", 0.0))
+            digests = [meta.get(key) for key in
+                       ("digest", "prev_digest", "base_digest")]
+            if any(d is not None and not isinstance(d, str)
+                   for d in digests):
+                raise TypeError("digest fields must be strings")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             pieces.append(PieceScan(index=index, status="unreadable",
                                     detail=f"bad piece header: {exc}"))
             break
@@ -333,11 +340,9 @@ def scan_store(path: Union[str, Path]) -> StoreScanReport:
                                     detail=str(exc)))
             continue
         obj = StoredObject(rank=rank, seq=seq, kind=kind, nbytes=nbytes,
-                           payload=payload,
-                           stored_at=float(meta.get("stored_at", 0.0)),
-                           digest=meta.get("digest"),
-                           prev_digest=meta.get("prev_digest"),
-                           base_digest=meta.get("base_digest"))
+                           payload=payload, stored_at=stored_at,
+                           digest=digests[0], prev_digest=digests[1],
+                           base_digest=digests[2])
         recomputed = piece_digest(rank, seq, kind, nbytes, payload)
         if obj.digest is None or recomputed != obj.digest:
             pieces.append(PieceScan(index=index, status="corrupt",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Union
 
@@ -60,24 +62,61 @@ def save_trace(log: TraceLog, path: Union[str, Path]) -> Path:
 
 
 def load_trace(path: Union[str, Path]) -> TraceLog:
-    """Reload a trace saved by :func:`save_trace`."""
+    """Reload a trace saved by :func:`save_trace`.
+
+    Raises :class:`ConfigurationError` naming the file when a sibling is
+    missing, unreadable or truncated, lacks a field or column, or holds
+    fewer slices than its metadata claims.
+    """
     npz_path, meta_path = _normalize(path)
     if not meta_path.exists() or not npz_path.exists():
         raise ConfigurationError(
             f"no trace at {npz_path.with_suffix('')} (.npz + .json expected)")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"unreadable trace metadata {meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigurationError(
+            f"trace metadata {meta_path} is not a JSON object")
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ConfigurationError(
-            f"unsupported trace format {meta.get('format_version')!r}")
-    log = TraceLog(rank=int(meta["rank"]), timeslice=float(meta["timeslice"]),
-                   page_size=int(meta["page_size"]),
-                   app_name=meta.get("app_name", ""))
-    n = int(meta["n_slices"])
-    with np.load(npz_path) as data:
-        # materialize each column once: NpzFile.__getitem__ decompresses
-        # the whole array on every access, so indexing inside the record
-        # loop would decompress n times per column
-        cols = {col: data[col] for col in _COLUMNS}
+            f"unsupported trace format {meta.get('format_version')!r} "
+            f"in {meta_path}")
+    try:
+        log = TraceLog(rank=int(meta["rank"]),
+                       timeslice=float(meta["timeslice"]),
+                       page_size=int(meta["page_size"]),
+                       app_name=meta.get("app_name", ""))
+        n = int(meta["n_slices"])
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"trace metadata {meta_path} lacks {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"bad trace metadata {meta_path}: {exc}") from None
+    try:
+        with np.load(npz_path) as data:
+            missing = [col for col in _COLUMNS if col not in data.files]
+            if missing:
+                raise ConfigurationError(
+                    f"trace columns {npz_path} lack {missing}")
+            # materialize each column once: NpzFile.__getitem__
+            # decompresses the whole array on every access, so indexing
+            # inside the record loop would decompress n times per column
+            cols = {col: data[col] for col in _COLUMNS}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise ConfigurationError(
+            f"unreadable trace columns {npz_path}: {exc}") from None
+    short = [col for col, values in cols.items()
+             if values.ndim != 1 or values.dtype.kind not in "biuf"
+             or len(values) < n]
+    if n < 0 or short:
+        raise ConfigurationError(
+            f"trace metadata {meta_path} claims {n} slices; the columns "
+            f"{short} of {npz_path} are not numeric vectors that long")
     for i in range(n):
         log.append(TimesliceRecord(
             index=int(cols["index"][i]),

@@ -1,88 +1,83 @@
-"""Differential suite: coalesced-alarm engine vs the seed per-timer path.
+"""Differential suite: the coalesced-alarm engine against the recorded
+stream of the seed per-timer path.
 
 The TimerHub promises a *bit-identical* simulation: same per-rank
 timeslice boundaries, same fault and reprotect accounting, same
-checkpoint piece order.  These tests run the paper workloads through
-both engine paths (``coalesce_timers=True`` / ``False``) and assert the
-full event streams agree -- the contract everything in
-``repro.sim.timers`` rests on.
+checkpoint piece order.  The per-timer path is gone; its output on the
+paper workloads is kept as sha256 digests in
+:mod:`tests.sim.dispatch_reference` (computed from both paths, which
+agreed), and these tests run the workloads and assert the full streams
+still match it -- the contract everything in ``repro.sim.timers`` rests
+on.
 
 Runs are short (a handful of timeslices) so the 64-rank cases stay
 cheap; identity is exact, so duration adds confidence, not coverage.
 """
 
+from dataclasses import fields
+
 import pytest
 
-from repro.cluster.experiment import paper_config, run_experiment
+from repro.cluster.experiment import run_experiment
+from repro.instrument.records import TimesliceRecord
 from repro.obs import Observability, Tracer
-
-
-def _pair(name, nranks, **overrides):
-    """Run both engine paths on one config; returns (coalesced, seed)."""
-    cfg = paper_config(name, nranks=nranks, timeslice=1.0,
-                       run_duration=10.0, **overrides)
-    return (run_experiment(cfg, coalesce_timers=True),
-            run_experiment(cfg, coalesce_timers=False))
+from tests.sim.dispatch_reference import (EVENT_DIGESTS, RECORD_DIGESTS,
+                                          TRACED_CONFIGS, event_digest,
+                                          record_config, record_digest,
+                                          record_stream, stream_digest)
 
 
 @pytest.mark.parametrize("name", ["sage-50MB", "sweep3d", "bt"])
 @pytest.mark.parametrize("nranks", [8, 64])
 def test_streams_identical_across_apps_and_scales(name, nranks):
-    new, seed = _pair(name, nranks)
-    assert new.final_time == seed.final_time
-    assert new.init_end_time == seed.init_end_time
-    assert new.iterations == seed.iterations
-    assert new.iteration_starts == seed.iteration_starts
-    assert set(new.logs) == set(seed.logs) == set(range(nranks))
-    for rank in range(nranks):
-        a, b = new.logs[rank].records, seed.logs[rank].records
-        assert a == b, (
-            f"{name} rank {rank}: coalesced and per-timer paths diverge; "
-            f"first differing record: "
-            f"{next((p for p in zip(a, b) if p[0] != p[1]), None)}")
+    result = run_experiment(record_config(name, nranks))
+    assert set(result.logs) == set(range(nranks))
+    assert result.iterations > 0
+    assert record_digest(result) == RECORD_DIGESTS[name, nranks], (
+        f"{name} x {nranks}: the record stream diverges from the "
+        f"per-timer reference")
 
 
 def test_reprotect_charges_and_slice_boundaries_match():
     """Per-slice overhead (fault cost + reprotect charge) and the slice
-    boundary times are part of the record stream; spot-check them
-    explicitly so a future record-layout change cannot silently drop
-    them from the comparison above."""
-    new, seed = _pair("sage-50MB", 8)
+    boundary times are part of the pinned record stream; check that a
+    change to any one of them in any one record changes the digest, so
+    a future record-layout change cannot silently drop them from the
+    comparison above."""
+    result = run_experiment(record_config("sage-50MB", 8))
+    stream = record_stream(result)
+    assert stream_digest(stream) == RECORD_DIGESTS["sage-50MB", 8]
+    column = {f.name: i for i, f in enumerate(fields(TimesliceRecord))}
     for rank in (0, 7):
-        for ra, rb in zip(new.logs[rank].records, seed.logs[rank].records):
-            assert (ra.t_start, ra.t_end) == (rb.t_start, rb.t_end)
-            assert ra.overhead_time == rb.overhead_time
-            assert ra.faults == rb.faults
-            assert ra.iws_pages == rb.iws_pages
+        records = result.logs[rank].records
+        assert records
+        assert any(rec.faults and rec.overhead_time > 0 for rec in records)
+        for slot in (0, len(records) - 1):
+            row = stream["records"][rank][slot]
+            for name in ("t_start", "t_end", "overhead_time", "faults",
+                         "iws_pages"):
+                saved = row[column[name]]
+                row[column[name]] = saved + 1
+                assert stream_digest(stream) != RECORD_DIGESTS["sage-50MB", 8]
+                row[column[name]] = saved
+    assert stream_digest(stream) == RECORD_DIGESTS["sage-50MB", 8]
 
 
 def test_checkpoint_piece_order_identical():
-    """With a checkpoint transport attached, the epoch-listener batching
-    seam must emit pieces in the exact order of the per-timer path."""
-    results = {}
-    for coalesce in (True, False):
-        cfg = paper_config("sage-50MB", nranks=8, timeslice=1.0,
-                           run_duration=12.0, ckpt_transport="estimate")
-        obs = Observability(tracer=Tracer(wall_clock=None))
-        results[coalesce] = (run_experiment(cfg, obs=obs,
-                                            coalesce_timers=coalesce), obs)
-    new, new_obs = results[True]
-    seed, seed_obs = results[False]
-    assert new.ckpt_commits == seed.ckpt_commits > 0
-    assert new.final_time == seed.final_time
+    """With a checkpoint transport attached, pieces must be emitted in
+    the exact order of the per-timer path."""
+    obs = Observability(tracer=Tracer(wall_clock=None))
+    result = run_experiment(TRACED_CONFIGS["sage-50MB-estimate"](), obs=obs)
+    assert result.ckpt_commits > 0
     # the traced stream includes every ckpt piece/frame span in emission
-    # order; bit-identical streams mean identical piece order
-    assert new_obs.tracer.events == seed_obs.tracer.events
-    ckpt_events = [e for e in new_obs.tracer.events
+    # order; a bit-identical stream means identical piece order
+    assert event_digest(obs.tracer) == EVENT_DIGESTS["sage-50MB-estimate"]
+    ckpt_events = [e for e in obs.tracer.events
                    if e.get("cat") == "checkpoint"]
     assert ckpt_events, "expected checkpoint events in the trace"
 
 
 def test_traced_streams_identical_without_checkpointing():
-    cfg = paper_config("sweep3d", nranks=8, timeslice=1.0, run_duration=10.0)
-    streams = []
-    for coalesce in (True, False):
-        obs = Observability(tracer=Tracer(wall_clock=None))
-        run_experiment(cfg, obs=obs, coalesce_timers=coalesce)
-        streams.append(obs.tracer.events)
-    assert streams[0] == streams[1]
+    obs = Observability(tracer=Tracer(wall_clock=None))
+    run_experiment(TRACED_CONFIGS["sweep3d"](), obs=obs)
+    assert event_digest(obs.tracer) == EVENT_DIGESTS["sweep3d"]

@@ -1,6 +1,7 @@
 """Batched same-instant dispatch: ``Engine.schedule_coalesced``
-semantics, the wake/delivery batching differential against the
-per-event seed path, and hypothesis interleavings.
+semantics, hypothesis interleavings of batched deliveries and wakes
+against the order one queued event per item fires in, and full
+workloads against the recorded stream of the per-event seed path.
 
 The contract mirrors the TimerHub's: batching same-sim-time work into
 one engine event may never change the simulation -- same delivery
@@ -12,10 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.experiment import paper_config, run_experiment
+from repro.cluster.experiment import run_experiment
 from repro.net import Message, Network
-from repro.obs import Observability, Tracer
+from repro.obs import (DEFAULT_CATEGORIES, ENGINE_DISPATCH, EngineProfiler,
+                       Observability, Tracer)
 from repro.sim import Engine, Future, SimProcess, PRIORITY_LATE
+from repro.sim.process import ProcessState
+from tests.sim.dispatch_reference import (EVENT_DIGESTS, RECORD_DIGESTS,
+                                          TRACED_CONFIGS, event_digest,
+                                          record_config, record_digest)
 
 
 # -- schedule_coalesced unit semantics ----------------------------------------
@@ -100,33 +106,49 @@ def test_batch_fired_from_inside_a_batch_opens_a_fresh_event():
 
 # -- hypothesis: interleavings are batching-invariant -------------------------
 
-@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=3.0,
-                                    allow_nan=False),
-                          st.integers(min_value=1, max_value=3),
-                          st.integers(min_value=0, max_value=65536)),
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0]),
+                                    st.floats(min_value=0.0, max_value=3.0,
+                                              allow_nan=False)),
+                          st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=0, max_value=3),
+                          st.one_of(st.sampled_from([0, 4096]),
+                                    st.integers(min_value=0,
+                                                max_value=65536))),
                 min_size=1, max_size=25))
 @settings(max_examples=60, deadline=None)
 def test_delivery_order_identical_with_and_without_batching(sends):
-    """Random (send-time, dst, size) interleavings: the coalesced
-    delivery path produces the exact delivered sequence -- virtual
-    times included -- of the per-message seed path."""
+    """Random (send-time, src, dst, size) interleavings, with equal
+    arrivals common: the batched delivery path delivers every message
+    at the arrival time ``send`` returned, in send order among equal
+    arrivals -- the order one queued event per message fires in."""
+    eng = Engine()
+    net = Network(eng, nnodes=4)
+    log = []
+    sent = []           # (arrival, send order, dst, src, tag, size)
 
-    def run(coalesce):
-        eng = Engine(coalesce_deliveries=coalesce)
-        net = Network(eng, nnodes=4)
-        log = []
-        for node in range(4):
-            net.attach(node, lambda m, n=node:
-                       log.append((eng.now, n, m.src, m.tag, m.size)))
-        for tag, (t, dst, size) in enumerate(sends):
-            # tag doubles as a unique identity so the comparison does
-            # not depend on the global Message mid counter
-            eng.schedule_at(t, net.send, Message(src=0, dst=dst,
-                                                 size=size, tag=tag))
-        eng.run()
-        return log
+    def send(msg):
+        arrival = net.send(msg)
+        sent.append((arrival, len(sent), msg.dst, msg.src, msg.tag, msg.size))
 
-    assert run(coalesce=True) == run(coalesce=False)
+    for node in range(4):
+        net.attach(node, lambda m, n=node:
+                   log.append((eng.now, n, m.src, m.tag, m.size)))
+    for tag, (t, src, dst, size) in enumerate(sends):
+        # tag doubles as a unique identity so the comparison does not
+        # depend on the global Message mid counter
+        eng.schedule_at(t, send, Message(src=src, dst=dst, size=size,
+                                         tag=tag))
+    eng.run()
+    assert log == [(arrival, dst, src, tag, size) for arrival, _, dst, src,
+                   tag, size in sorted(sent, key=lambda s: s[:2])]
+
+
+class _PerEventWake(SimProcess):
+    """The reference wake: one queued event per resolved future."""
+
+    def _on_future(self, value):
+        if self.state is ProcessState.BLOCKED:
+            self._wakeup = self.engine.schedule(0.0, self._resume, value)
 
 
 @given(st.data())
@@ -145,8 +167,8 @@ def test_wake_order_identical_with_and_without_batching(data):
     times = [data.draw(st.sampled_from([0.0, 1.0, 1.0, 2.0]),
                        label=f"t{f}") for f in range(nfuts)]
 
-    def run(coalesce):
-        eng = Engine(coalesce_wakes=coalesce)
+    def run(process_cls):
+        eng = Engine()
         futs = [Future(eng, label=f"f{i}") for i in range(nfuts)]
         log = []
 
@@ -156,35 +178,41 @@ def test_wake_order_identical_with_and_without_batching(data):
                 log.append((eng.now, name, idx, value))
 
         for p, seq in enumerate(waits):
-            SimProcess(eng, body(f"w{p}", seq), name=f"w{p}")
+            process_cls(eng, body(f"w{p}", seq), name=f"w{p}")
         for f, fut in enumerate(futs):
             eng.schedule_at(times[f], fut.resolve, f * 10)
         eng.run()
         return log
 
-    assert run(coalesce=True) == run(coalesce=False)
+    assert run(SimProcess) == run(_PerEventWake)
 
 
-# -- differential: full workloads, batched vs seed dispatch -------------------
+# -- full workloads against the per-event reference ---------------------------
+#
+# The digests in tests/sim/dispatch_reference.py were computed from the
+# per-event seed path and from the batched path, which agreed.  These
+# runs take the engine loop's observed arms -- a dispatch instant traced
+# and a profiler hook called per fired event -- which must not change
+# the simulation either.
 
 @pytest.mark.parametrize("name", ["sage-50MB", "sweep3d"])
 def test_experiment_streams_identical_across_dispatch_paths(name):
-    cfg = paper_config(name, nranks=8, timeslice=1.0, run_duration=10.0)
-    new = run_experiment(cfg, coalesce_events=True)
-    seed = run_experiment(cfg, coalesce_events=False)
-    assert new.final_time == seed.final_time
-    assert new.iterations == seed.iterations
-    assert new.iteration_starts == seed.iteration_starts
-    for rank in range(8):
-        assert new.logs[rank].records == seed.logs[rank].records
+    obs = Observability(
+        tracer=Tracer(DEFAULT_CATEGORIES | {ENGINE_DISPATCH},
+                      wall_clock=None),
+        profiler=EngineProfiler())
+    result = run_experiment(record_config(name, 8), obs=obs)
+    assert record_digest(result) == RECORD_DIGESTS[name, 8]
+    dispatched = [e for e in obs.tracer.events
+                  if e.get("cat") == ENGINE_DISPATCH]
+    # every fired event was both traced and seen by the profiler hook
+    assert len(dispatched) == obs.profiler.events > 0
 
 
 def test_traced_streams_identical_across_dispatch_paths():
-    streams = []
-    for coalesce in (True, False):
-        cfg = paper_config("sage-50MB", nranks=8, timeslice=1.0,
-                           run_duration=12.0, ckpt_transport="estimate")
-        obs = Observability(tracer=Tracer(wall_clock=None))
-        run_experiment(cfg, obs=obs, coalesce_events=coalesce)
-        streams.append(obs.tracer.events)
-    assert streams[0] == streams[1]
+    obs = Observability(tracer=Tracer(wall_clock=None),
+                        profiler=EngineProfiler())
+    result = run_experiment(TRACED_CONFIGS["sage-50MB-estimate"](), obs=obs)
+    assert result.ckpt_commits > 0
+    assert obs.profiler.events > 0
+    assert event_digest(obs.tracer) == EVENT_DIGESTS["sage-50MB-estimate"]

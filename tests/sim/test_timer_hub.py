@@ -2,8 +2,8 @@
 
 The hub replaces one queued engine event per timer expiry with one per
 ``(interval, phase)`` group per epoch; these tests pin the grouping,
-the enrollment-order sweep, mid-epoch cancellation/reset semantics, and
-the epoch-listener seam against the per-timer path.
+the enrollment-order sweep and mid-epoch cancellation/reset semantics
+to the order one event per expiry fires in.
 """
 
 import pytest
@@ -17,7 +17,7 @@ def _record(log, name):
 
 
 def test_cophased_timers_share_one_engine_event_per_epoch():
-    eng = Engine(coalesce_timers=True)
+    eng = Engine()
     log = []
     for n in range(8):
         IntervalTimer(eng, 1.0, _record(log, f"t{n}"))
@@ -32,28 +32,28 @@ def test_cophased_timers_share_one_engine_event_per_epoch():
 
 
 def test_sweep_order_matches_per_timer_path():
-    runs = {}
-    for coalesce in (False, True):
-        eng = Engine(coalesce_timers=coalesce)
-        log = []
-        for n in range(5):
-            IntervalTimer(eng, 2.0, lambda i, _n=n: log.append(
-                (eng.now, _n, i)))
-        eng.run(until=9.0)
-        runs[coalesce] = log
-    assert runs[True] == runs[False]
+    eng = Engine()
+    log = []
+    for n in range(5):
+        IntervalTimer(eng, 2.0, lambda i, _n=n: log.append((eng.now, _n, i)))
+    eng.run(until=9.0)
+    assert log == [
+        (2.0, 0, 0), (2.0, 1, 0), (2.0, 2, 0), (2.0, 3, 0), (2.0, 4, 0),
+        (4.0, 0, 1), (4.0, 1, 1), (4.0, 2, 1), (4.0, 3, 1), (4.0, 4, 1),
+        (6.0, 0, 2), (6.0, 1, 2), (6.0, 2, 2), (6.0, 3, 2), (6.0, 4, 2),
+        (8.0, 0, 3), (8.0, 1, 3), (8.0, 2, 3), (8.0, 3, 3), (8.0, 4, 3),
+    ]
 
 
 def test_heterogeneous_intervals_and_phases_group_separately():
-    eng = Engine(coalesce_timers=True)
+    eng = Engine()
     log = []
     IntervalTimer(eng, 1.0, _record(log, "a"))
     IntervalTimer(eng, 1.0, _record(log, "b"), start_after=0.5)
     IntervalTimer(eng, 2.0, _record(log, "c"))
     eng.run(until=2.25)
     # at t=2.0 both a and c expire; c's group event was scheduled first
-    # (at construction) so it wins the same-instant seq tie-break,
-    # exactly as the per-timer path would
+    # (at construction) so it wins the same-instant seq tie-break
     assert log == [("b", 0), ("a", 0), ("b", 1), ("c", 0), ("a", 1)]
     # a and c meet at t=2.0 but keep distinct (interval, phase) groups
     assert eng.timer_hub.stats()["max_group"] == 1
@@ -61,44 +61,43 @@ def test_heterogeneous_intervals_and_phases_group_separately():
 
 def test_cancel_mid_epoch_skips_co_grouped_member():
     """A handler cancelling a later member of its own group must
-    suppress that member's expiry this epoch -- exactly what the
-    per-timer path's armed check does."""
-    for coalesce in (False, True):
-        eng = Engine(coalesce_timers=coalesce)
-        log = []
-        timers = []
-        def killer(i):
-            log.append(("killer", i))
-            if i == 1:
-                timers[1].cancel()
-        timers.append(IntervalTimer(eng, 1.0, killer))
-        timers.append(IntervalTimer(eng, 1.0, _record(log, "victim")))
-        eng.run(until=3.5)
-        assert log == [("killer", 0), ("victim", 0),
-                       ("killer", 1), ("killer", 2)], coalesce
+    suppress that member's expiry this epoch."""
+    eng = Engine()
+    log = []
+    timers = []
+
+    def killer(i):
+        log.append(("killer", i))
+        if i == 1:
+            timers[1].cancel()
+    timers.append(IntervalTimer(eng, 1.0, killer))
+    timers.append(IntervalTimer(eng, 1.0, _record(log, "victim")))
+    eng.run(until=3.5)
+    assert log == [("killer", 0), ("victim", 0),
+                   ("killer", 1), ("killer", 2)]
 
 
 def test_reset_mid_epoch_moves_member_to_new_group():
-    for coalesce in (False, True):
-        eng = Engine(coalesce_timers=coalesce)
-        log = []
-        timers = []
-        def shifter(i):
-            log.append((eng.now, "shifter", i))
-            if i == 0:
-                timers[1].reset(2.0)
-        timers.append(IntervalTimer(eng, 1.0, shifter))
-        timers.append(IntervalTimer(
-            eng, 1.0, lambda i: log.append((eng.now, "shifted", i))))
-        eng.run(until=3.5)
-        # the shifted timer's t=3.0 event was scheduled at t=1.0, the
-        # shifter's re-arm at t=2.0, so shifted wins the seq tie-break
-        assert log == [(1.0, "shifter", 0), (2.0, "shifter", 1),
-                       (3.0, "shifted", 0), (3.0, "shifter", 2)], coalesce
+    eng = Engine()
+    log = []
+    timers = []
+
+    def shifter(i):
+        log.append((eng.now, "shifter", i))
+        if i == 0:
+            timers[1].reset(2.0)
+    timers.append(IntervalTimer(eng, 1.0, shifter))
+    timers.append(IntervalTimer(
+        eng, 1.0, lambda i: log.append((eng.now, "shifted", i))))
+    eng.run(until=3.5)
+    # the shifted timer's t=3.0 event was scheduled at t=1.0, the
+    # shifter's re-arm at t=2.0, so shifted wins the seq tie-break
+    assert log == [(1.0, "shifter", 0), (2.0, "shifter", 1),
+                   (3.0, "shifted", 0), (3.0, "shifter", 2)]
 
 
 def test_empty_group_event_is_cancelled():
-    eng = Engine(coalesce_timers=True)
+    eng = Engine()
     t = IntervalTimer(eng, 1.0, lambda i: pytest.fail("cancelled timer fired"))
     t.cancel()
     base = eng.stats()["dispatched"]
@@ -108,10 +107,11 @@ def test_empty_group_event_is_cancelled():
 
 
 def test_hub_created_lazily_only_when_coalescing():
-    eng = Engine(coalesce_timers=False)
-    IntervalTimer(eng, 1.0, lambda i: None)
+    """No hub until the first timer; every later timer shares it."""
+    eng = Engine()
     assert eng.timer_hub is None
-    eng2 = Engine(coalesce_timers=True)
-    assert eng2.timer_hub is None          # no timers yet
-    IntervalTimer(eng2, 1.0, lambda i: None)
-    assert isinstance(eng2.timer_hub, TimerHub)
+    IntervalTimer(eng, 1.0, lambda i: None)
+    hub = eng.timer_hub
+    assert isinstance(hub, TimerHub)
+    IntervalTimer(eng, 2.0, lambda i: None)
+    assert eng.timer_hub is hub

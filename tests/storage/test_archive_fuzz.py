@@ -156,6 +156,34 @@ def test_load_rejects_piece_rank_outside_the_archive(archive_bytes,
         load_store(path)
 
 
+def _digest_as_number(raw):
+    start = raw.index(b'"digest": "') + len(b'"digest": ')
+    end = raw.index(b'"', start + 1) + 1
+    return raw[:start] + b"1" * (end - start) + raw[end:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.replace(b'"stored_at": 1.0', b'"stored_at": "x"', 1),
+    _digest_as_number,
+], ids=["stored_at-string", "digest-number"])
+def test_mistyped_piece_header_field_is_unreadable(archive_bytes, tmp_path,
+                                                   edit):
+    """A piece header field of the wrong type marks that piece
+    unreadable: the scan reports it, loading raises StorageError and
+    ``ckpt verify`` exits 1 -- no ValueError escapes."""
+    mangled = edit(archive_bytes)
+    # same length, so every frame boundary stays where it was
+    assert len(mangled) == len(archive_bytes) and mangled != archive_bytes
+    path = tmp_path / "typed.rckpt"
+    path.write_bytes(mangled)
+    report = scan_must_report(path)
+    assert [(p.label, p.status) for p in report.pieces if not p.ok] == [
+        ("#0", "unreadable")]
+    with pytest.raises(StorageError, match="unreadable"):
+        load_store(path)
+    assert main(["ckpt", "verify", str(path)], out=io.StringIO()) == 1
+
+
 # -- atomic saves ---------------------------------------------------------------
 
 _SAVE_UNDER_FSIZE_LIMIT = """

@@ -76,6 +76,21 @@ def test_analyze_missing_dir_fails(capsys):
     assert "bad configuration" in err and "/nonexistent/dir" in err
 
 
+@pytest.mark.parametrize("damaged", ["rank0000.json", "rank0000.npz"])
+def test_analyze_truncated_trace_fails_cleanly(tmp_path, capsys, damaged):
+    code, _ = run_cli("run", "--app", "lu", "--ranks", "2",
+                      "--duration", "4", "--timeslice", "0.5",
+                      "--save-trace", str(tmp_path / "saved"))
+    assert code == 0
+    victim = tmp_path / "saved" / damaged
+    victim.write_bytes(victim.read_bytes()[:20])
+    capsys.readouterr()
+    code, _ = run_cli("analyze", "--trace", str(tmp_path / "saved"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and damaged in err
+
+
 def test_table1_command():
     code, text = run_cli("table1")
     assert code == 0

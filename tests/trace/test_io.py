@@ -128,3 +128,55 @@ def test_load_traces_missing_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ConfigurationError):
         load_traces(tmp_path / "empty")
+
+
+# -- damaged traces: ConfigurationError naming the file, never a raw error ----
+
+def _damaged(tmp_path, *, meta=None, meta_text=None, npz_bytes=None,
+             columns=None):
+    """A saved trace with one sibling replaced; returns its basename."""
+    base = tmp_path / "run"
+    save_trace(make_log(n=5), base)
+    meta_path, npz_path = tmp_path / "run.json", tmp_path / "run.npz"
+    if meta is not None:
+        meta_text = json.dumps(meta(json.loads(meta_path.read_text())))
+    if meta_text is not None:
+        meta_path.write_text(meta_text)
+    if npz_bytes is not None:
+        npz_path.write_bytes(npz_bytes(npz_path.read_bytes()))
+    if columns is not None:
+        with np.load(npz_path) as data:
+            arrays = columns({name: data[name] for name in data.files})
+        np.savez_compressed(npz_path, **arrays)
+    return base
+
+
+def _drop(key):
+    def edit(mapping):
+        del mapping[key]
+        return mapping
+    return edit
+
+
+@pytest.mark.parametrize("damage, culprit", [
+    (dict(meta_text='{"format_version": 1, "rank"'), "run.json"),
+    (dict(meta_text="[1, 2]"), "run.json"),
+    (dict(meta=_drop("rank")), "run.json"),
+    (dict(meta=_drop("n_slices")), "run.json"),
+    (dict(meta=lambda m: {**m, "timeslice": "fast"}), "run.json"),
+    (dict(npz_bytes=lambda raw: raw[:len(raw) // 2]), "run.npz"),
+    (dict(npz_bytes=lambda raw: b"garbage"), "run.npz"),
+    (dict(columns=_drop("t_end")), "run.npz"),
+    (dict(columns=lambda cols: {**cols, "faults": cols["faults"][:2]}),
+     "run.npz"),
+    (dict(meta=lambda m: {**m, "n_slices": 9}), "run.npz"),
+    (dict(meta=lambda m: {**m, "n_slices": -1}), "run.json"),
+], ids=["truncated-meta", "meta-not-object", "missing-rank",
+        "missing-n_slices", "mistyped-timeslice", "truncated-npz",
+        "garbage-npz", "missing-column", "short-column",
+        "n_slices-too-large", "n_slices-negative"])
+def test_damaged_trace_raises_configuration_error(tmp_path, damage,
+                                                  culprit):
+    base = _damaged(tmp_path, **damage)
+    with pytest.raises(ConfigurationError, match=culprit):
+        load_trace(base)
