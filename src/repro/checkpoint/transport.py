@@ -19,11 +19,21 @@ the simulated fabric instead:
 ``diskless``
     Frames cross the fabric to a *buddy rank's* receive link (incast
     with application traffic on that node) and land in the buddy's
-    memory at memcpy speed (:meth:`~repro.storage.DisklessSink.ingest`).
+    memory at memcpy speed (a :class:`~repro.storage.DisklessSink`).
+
+Per-frame work happens only where frames contend: the transmit link
+and the storage port (or buddy link), one engine event per frame
+injection.  The fabric reports a frame's arrival when it is injected
+and every sink is FIFO, so the frame *reserves* its sink slot right
+away (:mod:`repro.storage.ledger`) and learns its durability time;
+durability then costs one event per piece, which settles the sink
+(deciding injected failures in issue order) and reports the outcome.
 
 Every rank owns a bounded drain queue.  Bytes enter at capture and
-leave at frame durability; the invariant ``enqueued == drained +
-in_flight`` holds at every event (property-tested).  When a capture
+leave at frame durability.  Frames carry their durability time from
+injection, so the queues drain lazily, in time order, before anything
+reads them; the invariant ``enqueued == drained + in_flight`` holds at
+every read (property-tested after every event).  When a capture
 finds the queue past its bound, :meth:`CheckpointTransport.submit`
 returns a *stall*: the seconds of reprotect charge the coordinated
 engine defers into the next timeslice -- a slice whose IWS outruns the
@@ -40,6 +50,7 @@ per-timeslice contention delay the fabric charged application messages.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -107,7 +118,10 @@ class DrainQueue:
     The conservation invariant -- ``enqueued == drained + in_flight`` --
     is the drain pipeline's ledger: every byte a capture hands over is
     either already durable or still somewhere between the NIC and the
-    sink, never both and never lost.
+    sink, never both and never lost.  The framed transports drain it
+    lazily (frames know their durability time at injection), so the
+    invariant, and ``in_flight`` as of now, hold at every read after
+    that catch-up drain rather than at every engine event.
     """
 
     __slots__ = ("enqueued_bytes", "drained_bytes", "in_flight_bytes",
@@ -197,12 +211,11 @@ class _Piece:
     nbytes: int
     on_durable: DurableFn
     to_inject: int = 0
-    unacked: int = 0
-    #: zero-byte pieces still ride the pipeline as one sentinel frame
-    pending_empty_frame: bool = False
-    failed: bool = False
+    #: the sink reservation of every frame injected so far
+    records: list = field(default_factory=list)
     started_at: Optional[float] = None
-    done_at: Optional[float] = None
+    #: when the last frame injected so far becomes durable
+    done_at: float = 0.0
 
 
 class CheckpointTransport:
@@ -224,6 +237,10 @@ class CheckpointTransport:
         self._busy_time = [0.0] * nranks
         self._samples: list[dict] = []
         self._obs_cache = None
+        #: (done_at, rank, nbytes) of every frame not yet drained: frames
+        #: know their durability time at injection, so the queues retire
+        #: them lazily, in time order, whenever the ledger is read
+        self._undrained: list[tuple[float, int, int]] = []
 
     # -- the coordinated engine's entry points ------------------------------
 
@@ -241,6 +258,7 @@ class CheckpointTransport:
     def sample(self, seq: int) -> None:
         """Record one per-timeslice sample of the cumulative counters
         (called at capture boundaries; cheap, append-only)."""
+        self._drain()
         self._samples.append({
             "seq": seq,
             "t": self.engine.now,
@@ -255,7 +273,33 @@ class CheckpointTransport:
 
     def queue_bytes(self) -> int:
         """Bytes currently in flight across every rank's queue."""
+        self._drain()
+        return self._in_flight()
+
+    def _in_flight(self) -> int:
         return sum(q.in_flight_bytes for q in self.queues.values())
+
+    def _drain(self) -> None:
+        """Retire every frame durable by now from its rank's queue, in
+        durability order, recording the drain metrics at each frame's own
+        durability time."""
+        heap = self._undrained
+        now = self.engine.now
+        if not heap or heap[0][0] > now:
+            return
+        obs = self.engine.obs
+        cache = self._gauge_obs(obs) if obs.enabled else None
+        queues = self.queues
+        heappop = heapq.heappop
+        while heap and heap[0][0] <= now:
+            done_at, rank, nbytes = heappop(heap)
+            queues[rank].drain(nbytes)
+            if cache is not None:
+                cache[3].inc(nbytes)
+                cache[4].inc()
+                cache[7].record(done_at, nbytes)
+        if cache is not None:
+            cache[1].set(self._in_flight())
 
     def peak_queue_bytes(self) -> int:
         """The deepest any rank's drain queue ever got."""
@@ -279,6 +323,7 @@ class CheckpointTransport:
         contains its sink's occupation, this never exceeds the sink
         bandwidth -- and hence never exceeds the envelope's
         ``sustainable_bandwidth``."""
+        self._drain()
         busy = self.busy_time()
         if busy <= 0.0:
             return 0.0
@@ -286,7 +331,13 @@ class CheckpointTransport:
         return drained / busy
 
     def snapshot(self) -> TransportStats:
-        """Everything the measured feasibility verdict needs, picklable."""
+        """Everything the measured feasibility verdict needs, picklable.
+        Every sink settles up to now first, so its own counters account
+        for each write issued so far (the end of a life reads them)."""
+        now = self.engine.now
+        for sink in self.sinks.values():
+            sink.settle(now)
+        self._drain()
         return TransportStats(
             mode=self.spec.mode,
             pieces=self.pieces,
@@ -371,17 +422,24 @@ class _FramedTransport(CheckpointTransport):
     Per rank, pieces drain in FIFO order: frames inject back-to-back at
     the rank's NIC (the transmit link stays busy, but application
     messages interleave at frame boundaries because each frame is a
-    separate injection), cross the fabric, and are handed to
-    :meth:`_deposit_frame`, whose future resolves at durability.  Both
-    the fabric and the sinks are FIFO, so the head piece always
-    completes first.
+    separate injection) and cross the fabric.  The fabric reports each
+    frame's arrival at injection and the rank's sink is FIFO, so the
+    frame *reserves* its sink slot right then
+    (:meth:`~repro.storage.Disk.reserve`) and learns when it will be
+    durable: one ``_piece_durable`` event per piece, at its last frame's
+    durability, settles the sink (deciding injected failures in issue
+    order) and reports the outcome.  The head piece always completes
+    first.
     """
 
     def __init__(self, spec: TransportSpec, engine, sinks: dict,
                  nranks: int, network):
         super().__init__(spec, engine, sinks, nranks)
         self.network = network
+        #: per rank: submitted pieces not yet durable, oldest first;
+        #: the first ``_cursor[rank]`` of them are fully injected
         self._pending: dict[int, deque] = {r: deque() for r in range(nranks)}
+        self._cursor = [0] * nranks
         self._injecting = [False] * nranks
         #: effective drain rate used to convert queue excess to stall
         #: seconds -- the slower of the wire and the sink
@@ -392,26 +450,21 @@ class _FramedTransport(CheckpointTransport):
         raise NotImplementedError
 
     def _send_frame(self, rank: int, nbytes: int):
-        """Put one frame on the fabric; returns (inject_at, arrival)."""
-        raise NotImplementedError
-
-    def _deposit_frame(self, rank: int, nbytes: int):
-        """Frame arrived at the target; returns the durability future."""
+        """Put one frame on the fabric; returns (inject_at, inject_done,
+        arrival)."""
         raise NotImplementedError
 
     def submit(self, rank: int, seq: int, nbytes: int,
                on_durable: DurableFn) -> float:
+        self._drain()
         self.pieces += 1
         q = self.queues[rank]
         q.enqueue(nbytes)
-        piece = _Piece(seq=seq, nbytes=nbytes, on_durable=on_durable,
-                       to_inject=nbytes, unacked=nbytes)
-        if nbytes == 0:
-            # an empty piece still rides the pipeline (one zero-byte
-            # frame) so per-rank FIFO completion order is preserved
-            piece.pending_empty_frame = True
-            piece.unacked = 1
-        self._pending[rank].append(piece)
+        # an empty piece still rides the pipeline (one zero-byte frame)
+        # so per-rank FIFO completion order is preserved
+        self._pending[rank].append(_Piece(seq=seq, nbytes=nbytes,
+                                          on_durable=on_durable,
+                                          to_inject=nbytes))
         stall = 0.0
         if q.in_flight_bytes > self.spec.max_queue_bytes:
             # only the part of *this* piece that overflows the bound is
@@ -424,7 +477,7 @@ class _FramedTransport(CheckpointTransport):
         obs = self.engine.obs
         if obs.enabled:
             cache = self._gauge_obs(obs)
-            cache[1].set(self.queue_bytes())
+            cache[1].set(self._in_flight())
             cache[2].set(self.peak_queue_bytes())
             if stall:
                 cache[5].inc()
@@ -437,65 +490,43 @@ class _FramedTransport(CheckpointTransport):
     # -- the frame loop -----------------------------------------------------
 
     def _inject_next(self, rank: int) -> None:
-        piece = None
-        for p in self._pending[rank]:
-            if p.to_inject > 0 or p.pending_empty_frame:
-                piece = p
-                break
-        if piece is None:
+        pending = self._pending[rank]
+        cursor = self._cursor[rank]
+        if cursor == len(pending):
             self._injecting[rank] = False
             return
-        if piece.pending_empty_frame:
-            frame = 0
-            piece.pending_empty_frame = False
-        else:
-            frame = min(self.spec.frame_bytes, piece.to_inject)
-            piece.to_inject -= frame
+        piece = pending[cursor]
+        frame = min(self.spec.frame_bytes, piece.to_inject)
+        piece.to_inject -= frame
         self.frames_sent += 1
         inject_at, inject_done, arrival = self._send_frame(rank, frame)
         if piece.started_at is None:
             piece.started_at = inject_at
-        self.engine.schedule_at(arrival, self._frame_arrived, rank, piece,
-                                frame)
+        done_at, record = self.sinks[rank].reserve(frame, arrival)
+        piece.records.append(record)
+        if done_at > piece.done_at:
+            piece.done_at = done_at
+        heapq.heappush(self._undrained, (done_at, rank, frame))
+        if piece.to_inject == 0:
+            self._cursor[rank] = cursor + 1
+            self.engine.schedule_at(piece.done_at, self._piece_durable,
+                                    rank, piece)
         # the transmit link frees at inject-done; keep the loop going
         # from there so application sends interleave between frames
         self.engine.schedule_at(inject_done, self._inject_next, rank)
 
-    def _frame_arrived(self, rank: int, piece: _Piece, frame: int) -> None:
-        fut = self._deposit_frame(rank, frame)
-        fut.add_callback(lambda done_at: self._frame_durable(
-            rank, piece, frame, done_at))
-
-    def _frame_durable(self, rank: int, piece: _Piece, frame: int,
-                       done_at: Optional[float]) -> None:
-        q = self.queues[rank]
-        q.drain(frame)
-        if done_at is None:
-            piece.failed = True
-        else:
-            piece.done_at = done_at
-        piece.unacked -= frame if piece.nbytes else 1
-        obs = self.engine.obs
-        if obs.enabled:
-            cache = self._gauge_obs(obs)
-            cache[1].set(self.queue_bytes())
-            cache[3].inc(frame)
-            cache[4].inc()
-            cache[7].record(self.engine.now, frame)
-        if (piece.unacked == 0 and piece.to_inject == 0
-                and not piece.pending_empty_frame):
-            self._finish_piece(rank, piece)
-
-    def _finish_piece(self, rank: int, piece: _Piece) -> None:
+    def _piece_durable(self, rank: int, piece: _Piece) -> None:
+        self.sinks[rank].settle(self.engine.now)
+        self._drain()
         deq = self._pending[rank]
         if not deq or deq[0] is not piece:
             raise CheckpointError(
                 f"rank {rank}: piece seq {piece.seq} completed out of "
                 "FIFO order")
         deq.popleft()
-        end = self.engine.now if piece.failed else piece.done_at
-        self._note_busy(rank, piece.started_at, end)
-        if piece.failed:
+        self._cursor[rank] -= 1
+        self._note_busy(rank, piece.started_at, piece.done_at)
+        if any(record.failed for record in piece.records):
             self.failed_pieces += 1
             piece.on_durable(rank, piece.seq, None)
         else:
@@ -540,9 +571,6 @@ class NetworkTransport(_FramedTransport):
     def _send_frame(self, rank: int, nbytes: int):
         return self.network.storage_send(rank, nbytes, port=self.port)
 
-    def _deposit_frame(self, rank: int, nbytes: int):
-        return self.sinks[rank].write(nbytes)
-
 
 class DisklessTransport(_FramedTransport):
     """Frames cross the fabric to a buddy rank's memory.
@@ -551,9 +579,9 @@ class DisklessTransport(_FramedTransport):
     nranks`` mapped by the caller; here the transport only needs the
     destination rank per source.  Frames occupy the buddy's *receive*
     link (incast with application traffic on that node) and then land
-    at memcpy speed via :meth:`~repro.storage.DisklessSink.ingest` --
+    at memcpy speed via :meth:`~repro.storage.DisklessSink.reserve` --
     the wire was already simulated, so the sink charges memory copy and
-    capacity only.
+    capacity only (capacity at the frame's arrival).
     """
 
     def __init__(self, spec: TransportSpec, engine, sinks: dict,
@@ -562,7 +590,7 @@ class DisklessTransport(_FramedTransport):
         for rank in range(nranks):
             if buddies.get(rank) is None:
                 raise CheckpointError(f"rank {rank} has no buddy")
-            if not hasattr(sinks[rank], "ingest"):
+            if not hasattr(sinks[rank], "memcpy_bandwidth"):
                 raise CheckpointError(
                     f"diskless transport needs DisklessSink-like sinks, "
                     f"got {sinks[rank]!r}")
@@ -574,9 +602,6 @@ class DisklessTransport(_FramedTransport):
     def _send_frame(self, rank: int, nbytes: int):
         return self.network.storage_send(rank, nbytes,
                                          dst=self.buddies[rank])
-
-    def _deposit_frame(self, rank: int, nbytes: int):
-        return self.sinks[rank].ingest(nbytes)
 
 
 def make_transport(transport: Union[None, str, TransportSpec], *,

@@ -14,7 +14,7 @@ hot spot in.
 
 Attribution is three-dimensional: **subsystem** (sim, net, mpi,
 checkpoint, storage, faults, app, host) x **event kind**
-(``process.resume``, ``message.delivery``, ``transport.frame``, ...) x
+(``process.resume``, ``message.delivery``, ``transport.inject``, ...) x
 **rank group** (``r0-63``, ...), with self/cumulative accounting:
 host work wrapped in :meth:`EngineProfiler.section` (e.g. the
 per-iteration region-allocation churn in :class:`~repro.apps.phases.
@@ -62,7 +62,7 @@ _QUALNAME_KINDS = {
     "FaultInjector._deliver": ("faults", "fault.delivery", None),
     "_FramedTransport._inject_next": ("checkpoint", "transport.inject",
                                       "arg0_rank"),
-    "_FramedTransport._frame_arrived": ("checkpoint", "transport.frame",
+    "_FramedTransport._piece_durable": ("checkpoint", "transport.durable",
                                         "arg0_rank"),
     "CowWriteout.finish": ("checkpoint", "cow.finish", None),
 }

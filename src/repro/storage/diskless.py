@@ -19,11 +19,18 @@ from __future__ import annotations
 from repro.errors import StorageError
 from repro.net.models import LinkSpec, QSNET2
 from repro.sim import Engine, Future
+from repro.storage.ledger import FifoSink, Reservation
 from repro.units import GiB
 
 
-class DisklessSink:
-    """Checkpoint sink backed by a buddy node's memory."""
+class DisklessSink(FifoSink):
+    """Checkpoint sink backed by a buddy node's memory.
+
+    Capacity is checked when a write is *issued* (when it settles), so a
+    :meth:`release` that lands before a reserved frame arrives makes
+    room for it, exactly as if the frame had been deposited by an event
+    at its arrival.
+    """
 
     def __init__(self, engine: Engine, link: LinkSpec = QSNET2,
                  memcpy_bandwidth: float = 2.0 * GiB,
@@ -32,73 +39,68 @@ class DisklessSink:
             raise StorageError("memcpy bandwidth must be positive")
         if capacity <= 0:
             raise StorageError("buddy capacity must be positive")
+        super().__init__()
         self.engine = engine
         self.link = link
         self.memcpy_bandwidth = memcpy_bandwidth
         self.capacity = capacity
         self.name = name
-        self._free_at = 0.0
         self.bytes_written = 0
-        self.bytes_held = 0
+        self._held = 0
         self.ops = 0
+
+    @property
+    def bytes_held(self) -> int:
+        """Bytes of buddy memory in use by writes issued up to now."""
+        self.settle(self.engine.now)
+        return self._held
+
+    def _stream_time(self, nbytes: int) -> float:
+        return (self.link.latency + nbytes / self.link.bandwidth
+                + nbytes / self.memcpy_bandwidth)
+
+    def _memcpy_time(self, nbytes: int) -> float:
+        return nbytes / self.memcpy_bandwidth
+
+    def reserve(self, nbytes: int, at: float) -> tuple[float, Reservation]:
+        """Reserve the deposit of ``nbytes`` that already crossed the
+        fabric and arrive at ``at`` (the checkpoint transport simulated
+        the wire itself): only the memcpy into the buddy's memory is
+        charged; capacity is checked when the reservation settles."""
+        return self._reserve(nbytes, at, self._memcpy_time)
 
     def write(self, nbytes: int) -> Future:
         """Stream ``nbytes`` to the buddy; future resolves at durability
         (in the buddy's memory)."""
-        if nbytes < 0:
-            raise StorageError(f"negative write size {nbytes}")
-        if self.bytes_held + nbytes > self.capacity:
-            raise StorageError(
-                f"{self.name}: buddy memory exhausted "
-                f"({self.bytes_held + nbytes} > {self.capacity}); release "
-                "retired checkpoints first")
-        now = self.engine.now
-        start = max(now, self._free_at)
-        duration = (self.link.latency + nbytes / self.link.bandwidth
-                    + nbytes / self.memcpy_bandwidth)
-        done_at = start + duration
-        self._free_at = done_at
-        self.bytes_written += nbytes
-        self.bytes_held += nbytes
-        self.ops += 1
-        fut = Future(self.engine, label=f"{self.name}.write#{self.ops}")
-        self.engine.schedule_at(done_at, fut.resolve, done_at)
-        return fut
+        self.settle(self.engine.now)
+        self._admit(nbytes)           # refuse before occupying the sink
+        return self._write_now(nbytes, self._stream_time)
 
-    def ingest(self, nbytes: int) -> Future:
-        """Deposit ``nbytes`` that already crossed the fabric (the
-        checkpoint transport simulated the wire itself): charge only the
-        memcpy into the buddy's memory plus capacity."""
-        if nbytes < 0:
-            raise StorageError(f"negative ingest size {nbytes}")
-        if self.bytes_held + nbytes > self.capacity:
+    def _admit(self, nbytes: int) -> None:
+        if self._held + nbytes > self.capacity:
             raise StorageError(
                 f"{self.name}: buddy memory exhausted "
-                f"({self.bytes_held + nbytes} > {self.capacity}); release "
+                f"({self._held + nbytes} > {self.capacity}); release "
                 "retired checkpoints first")
-        now = self.engine.now
-        start = max(now, self._free_at)
-        done_at = start + nbytes / self.memcpy_bandwidth
-        self._free_at = done_at
-        self.bytes_written += nbytes
-        self.bytes_held += nbytes
+
+    def _issue(self, rec: Reservation) -> None:
+        self._admit(rec.nbytes)
+        self.bytes_written += rec.nbytes
+        self._held += rec.nbytes
         self.ops += 1
-        fut = Future(self.engine, label=f"{self.name}.ingest#{self.ops}")
-        self.engine.schedule_at(done_at, fut.resolve, done_at)
-        return fut
+        rec.failed = False
 
     def release(self, nbytes: int) -> None:
-        """Retire ``nbytes`` of old checkpoints from the buddy's memory."""
-        if nbytes < 0 or nbytes > self.bytes_held:
+        """Retire ``nbytes`` of old checkpoints from the buddy's memory
+        (writes issued up to now are settled against the old capacity
+        first)."""
+        held = self.bytes_held
+        if nbytes < 0 or nbytes > held:
             raise StorageError(
-                f"cannot release {nbytes} of {self.bytes_held} held bytes")
-        self.bytes_held -= nbytes
-
-    def queue_delay(self) -> float:
-        """How long a write issued now would wait before starting."""
-        return max(0.0, self._free_at - self.engine.now)
+                f"cannot release {nbytes} of {held} held bytes")
+        self._held -= nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.units import fmt_bytes
-        return (f"<DisklessSink {self.name!r} held={fmt_bytes(self.bytes_held)}"
+        return (f"<DisklessSink {self.name!r} held={fmt_bytes(self._held)}"
                 f"/{fmt_bytes(self.capacity)}>")

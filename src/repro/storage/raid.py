@@ -9,8 +9,9 @@ checkpoint produces.
 from __future__ import annotations
 
 from repro.errors import StorageError
-from repro.sim import Engine, Future, all_of
+from repro.sim import Engine, Future
 from repro.storage.disk import Disk
+from repro.storage.ledger import Reservation
 from repro.storage.models import DiskSpec, SCSI_ULTRA320
 
 
@@ -44,25 +45,41 @@ class StorageArray:
         """Peak sequential bandwidth of the stripe set, B/s."""
         return sum(d.spec.bandwidth for d in self.disks)
 
-    def write(self, nbytes: int) -> Future:
-        """Striped write; future resolves when all chunks are durable."""
+    def reserve(self, nbytes: int, at: float) -> tuple[float, "Stripe"]:
+        """Reserve a striped write issued at ``at``: each chunk reserves
+        its member disk; the write completes with its last chunk."""
         if nbytes < 0:
             raise StorageError(f"negative write size {nbytes}")
-        if nbytes == 0:
-            fut = Future(self.engine, label=f"{self.name}.write0")
-            fut.resolve(self.engine.now)
-            return fut
-        chunk_futures = []
+        chunks = []
+        done_at = at
         remaining = nbytes
         while remaining > 0:
             chunk = min(remaining, self.stripe_unit)
-            chunk_futures.append(self.disks[self._next].write(chunk))
+            chunk_done, rec = self.disks[self._next].reserve(chunk, at)
+            chunks.append(rec)
+            done_at = max(done_at, chunk_done)
             self._next = (self._next + 1) % len(self.disks)
             remaining -= chunk
-        done = all_of(self.engine, chunk_futures, label=f"{self.name}.write")
-        out = Future(self.engine, label=f"{self.name}.write.done")
-        done.add_callback(lambda times: out.resolve(max(times)))
-        return out
+        return done_at, Stripe(chunks)
+
+    def settle(self, now: float) -> None:
+        """Settle every member disk up to ``now``."""
+        for disk in self.disks:
+            disk.settle(now)
+
+    def write(self, nbytes: int) -> Future:
+        """Striped write; future resolves when all chunks are durable
+        (with ``None`` when an injected failure hit any chunk)."""
+        now = self.engine.now
+        done_at, stripe = self.reserve(nbytes, now)
+        fut = Future(self.engine, label=f"{self.name}.write.done")
+        if not stripe.chunks:         # nothing to write: durable now
+            fut.resolve(now)
+            return fut
+        self.settle(now)
+        self.engine.schedule_at(done_at, fut.resolve,
+                                None if stripe.failed else done_at)
+        return fut
 
     def bytes_written(self) -> int:
         """Total bytes written across the stripe set."""
@@ -70,3 +87,17 @@ class StorageArray:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StorageArray {self.name!r} ndisks={self.ndisks}>"
+
+
+class Stripe:
+    """A striped write's reservation: the member-disk chunks it spans."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks: list[Reservation]):
+        self.chunks = chunks
+
+    @property
+    def failed(self) -> bool:
+        """Whether an injected failure hit any chunk (once settled)."""
+        return any(rec.failed for rec in self.chunks)

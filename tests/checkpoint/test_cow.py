@@ -164,3 +164,36 @@ def test_engine_cow_integration():
     assert copies > 0
     assert cow_time > 0
     assert len(ckpt.committed()) > 0
+
+
+def test_engine_cow_under_network_transport_is_pinned():
+    """COW windows size themselves from the sink's queue delay at
+    capture time.  Under the network transport earlier frames have
+    already *reserved* disk time for arrivals still ahead; only writes
+    that reached the disk by now may count, exactly as when each frame
+    was written by an event at its arrival.  Sage at a 0.25 s timeslice
+    keeps the drain backlogged (364 stalls), so a queue delay that
+    counted reservations ahead would size longer windows and charge
+    more copies (71,057 instead of 65,833)."""
+    from repro.apps.base import ScientificApplication
+    from repro.apps.registry import paper_spec
+
+    spec = paper_spec("sage-100MB")
+    engine = Engine()
+    layout = Layout()
+    app = ScientificApplication(spec, run_duration=6.0, layout=layout)
+    job = MPIJob(engine, 4, layout=layout,
+                 process_factory=app.process_factory(engine), name=spec.name)
+    lib = InstrumentationLibrary(TrackerConfig(timeslice=0.25),
+                                 app_name=spec.name).install(job)
+    ckpt = CheckpointEngine(job, lib, interval_slices=1, full_every=4,
+                            keep_payloads=False, cow=True,
+                            transport="network")
+    job.launch(app.make_body())
+    engine.run(detect_deadlock=True)
+    copies, cow_time = ckpt.cow_stats()
+    assert ckpt.transport.snapshot().stalls == 364
+    assert copies == 65833
+    assert cow_time == 0.5022659301757812
+    assert len(ckpt.committed()) == 154
+    assert engine.now == 38.897676285020346

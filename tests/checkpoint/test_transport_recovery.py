@@ -15,9 +15,14 @@ capture is forced full so its chain re-heads.
 """
 
 from repro.apps.synthetic import small_spec
+from repro.checkpoint.transport import make_transport
 from repro.cluster.experiment import ExperimentConfig
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
 from repro.mem import AddressSpace
+from repro.net import Network
+from repro.sim import Engine
+from repro.storage import DisklessSink
+from repro.units import MiB
 
 SPEC = small_spec(name="middrain", footprint_mb=6, main_mb=3, period=1.0,
                   passes=1.5, comm_mb=0.25, sub_bursts=1)
@@ -109,3 +114,76 @@ def test_disk_fault_mid_drain_poisons_sequence_and_forces_full():
         chain = life.store.chain(rank, upto_seq=latest)
         assert chain and chain[0].kind == "full"
         assert any(o.seq == latest for o in chain)
+
+
+# -- the failure budget across one drain window ---------------------------------
+
+def _mid_seq_frames(monkeypatch):
+    """``(inject_at, arrival)`` of rank 1's frames of seq MID_SEQ in the
+    failure-free run."""
+    frames = []
+    send = Network.storage_send
+
+    def spy(self, src, nbytes, **kw):
+        inject_at, inject_done, arrival = send(self, src, nbytes, **kw)
+        if src == 1 and CAPTURE_T <= inject_at < CAPTURE_T + 0.5:
+            frames.append((inject_at, arrival))
+        return inject_at, inject_done, arrival
+
+    monkeypatch.setattr(Network, "storage_send", spy)
+    run_reference()
+    monkeypatch.undo()
+    return frames
+
+
+def _disk_fault_outcome(t):
+    res = run_with_failures(CONFIG, FaultPlan([FaultEvent(t, FaultKind.DISK,
+                                                          1)]),
+                            interval_slices=INTERVAL, full_every=3,
+                            ckpt_transport="network")
+    life = res.lives[0]
+    return (life.write_failures, life.transport_stats.failed_pieces,
+            life.store.committed_sequences())
+
+
+def test_disk_fault_budget_follows_frame_arrivals(monkeypatch):
+    """A DISK fault fails the next write to *reach* the disk: a frame in
+    flight when the fault lands fails, one that already arrived does not
+    -- including one arriving at the fault's very instant, because
+    arrivals run before the (late-priority) fault event.  Pinned values
+    are those of the event-per-frame pipeline this reservation ledger
+    replaced."""
+    frames = _mid_seq_frames(monkeypatch)
+    assert len(frames) == 7
+    (inject3, arrival3), last_arrival = frames[2], frames[-1][1]
+    lost_mid = ([(1, MID_SEQ)], 1, [1, 3, 5, 9, 11, 13, 15, 17, 19])
+    lost_next = ([(1, 9)], 1, [1, 3, 5, 7, 11, 13, 15, 17, 19])
+    # inside a frame's inject->arrival window: that frame fails
+    assert _disk_fault_outcome((inject3 + arrival3) / 2) == lost_mid
+    # exactly at a frame's arrival: it made it, a later frame fails
+    assert _disk_fault_outcome(arrival3) == lost_mid
+    # exactly at the last arrival: the whole piece made it
+    assert _disk_fault_outcome(last_arrival) == lost_next
+    # after the last arrival: the next sequence pays
+    assert _disk_fault_outcome(last_arrival + 1e-3) == lost_next
+
+
+def test_diskless_release_before_arrival_makes_room():
+    """A buddy's capacity is charged when a frame *arrives*, not when it
+    is injected: a release landing in between frees room for it."""
+    engine = Engine()
+    network = Network(engine, 2)
+    sinks = {r: DisklessSink(engine, capacity=2 * MiB, name=f"buddy.r{r}")
+             for r in range(2)}
+    transport = make_transport("diskless", engine=engine, network=network,
+                               sinks=sinks, nranks=2)
+    sinks[0].write(3 * MiB // 2)
+    done = []
+    engine.schedule_at(1.0, transport.submit, 0, 1, MiB,
+                       lambda rank, seq, done_at: done.append(done_at))
+    # the frame injects at t=1.0 and arrives ~1 ms later
+    engine.schedule_at(1.0 + 1e-4, sinks[0].release, MiB)
+    engine.run()
+    assert len(done) == 1 and done[0] > 1.0 + 1e-3
+    assert sinks[0].bytes_held == 3 * MiB // 2
+    assert transport.snapshot().failed_pieces == 0

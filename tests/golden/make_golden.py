@@ -32,7 +32,11 @@ PLAN = FaultPlan.exponential(mtbf=4.0, nranks=2, horizon=25.0, seed=9)
 #: the transport golden: a small 8-rank Sage run whose checkpoints are
 #: real scheduled traffic (network transport).  The full event stream
 #: is ~1.4 MB, so the golden pins its length and sha256 (canonical
-#: JSON, wall times stripped) plus the scalar outcomes.
+#: JSON, wall times stripped) plus the scalar outcomes.  Two order-free
+#: digests ride along: the sorted-event multiset and the stream without
+#: its ``storage`` spans.  Together they separate "the simulation
+#: changed" from "a recorder moved": moving where ``disk.write`` spans
+#: are emitted shifts ``events_sha256`` only.
 TRANSPORT_CONFIG = ExperimentConfig(
     spec=paper_spec("sage-50MB"), nranks=8, timeslice=0.5,
     run_duration=6.0, ckpt_transport="network",
@@ -72,6 +76,23 @@ DCP_CONFIG = ExperimentConfig(
 def canonical_events(tracer: Tracer) -> str:
     """The comparable stream: wall times stripped, keys sorted."""
     return json.dumps(strip_wall_times(tracer.events), sort_keys=True)
+
+
+def events_multiset_sha256(tracer: Tracer) -> str:
+    """sha256 of the canonical events sorted: blind to emission order,
+    so it pins *what* was recorded (every sim time, arg and track)
+    independently of *when* the recorder was called."""
+    lines = sorted(json.dumps(ev, sort_keys=True)
+                   for ev in strip_wall_times(tracer.events))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def events_sha256_without(tracer: Tracer, cat: str) -> str:
+    """sha256 of the canonical stream, in order, minus category ``cat``."""
+    kept = [ev for ev in strip_wall_times(tracer.events)
+            if ev.get("cat") != cat]
+    return hashlib.sha256(
+        json.dumps(kept, sort_keys=True).encode()).hexdigest()
 
 
 def trace_payload() -> dict:
@@ -131,6 +152,9 @@ def transport_payload() -> dict:
         "ckpt_commits": result.ckpt_commits,
         "n_events": len(tracer.events),
         "events_sha256": hashlib.sha256(canon.encode()).hexdigest(),
+        "events_multiset_sha256": events_multiset_sha256(tracer),
+        "events_sha256_without_storage": events_sha256_without(
+            tracer, "storage"),
         "transport": {
             "mode": stats.mode,
             "pieces": stats.pieces,

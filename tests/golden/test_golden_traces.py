@@ -58,7 +58,30 @@ def test_fault_run_matches_golden_exactly():
 def test_transport_run_matches_golden_exactly():
     golden = load("golden_transport.json")
     current = json.loads(json.dumps(transport_payload()))
+    # the order-free digests first: a mismatch there means the simulated
+    # events themselves changed, not just where a recorder sits
+    assert (current["events_multiset_sha256"]
+            == golden["events_multiset_sha256"]), "event multiset"
+    assert (current["events_sha256_without_storage"]
+            == golden["events_sha256_without_storage"]), \
+        "event stream without storage spans"
     assert current == golden
+
+
+def test_transport_engine_work_is_one_event_per_frame_and_piece():
+    """A work counter that gates exactly: frame durability is reserved
+    arithmetically at injection, so the engine dispatches one event per
+    frame (its injection) and one per piece (its durability) on top of
+    the skeleton.  A per-frame arrival or sink-write event would push
+    the count past the bound (the per-event pipeline dispatched
+    12,434)."""
+    net = run_experiment(TRANSPORT_CONFIG)
+    est = run_experiment(TRANSPORT_CONFIG.scaled(ckpt_transport="estimate"))
+    events = net.job.engine.stats()["dispatched"]
+    stats = net.transport_stats
+    assert events == 4802
+    assert events <= (est.job.engine.stats()["dispatched"]
+                      + stats.frames + stats.pieces)
 
 
 def test_transport_run_is_deterministic_byte_for_byte():

@@ -191,9 +191,11 @@ def test_pinned_attribution_categories_are_separable():
     assert ("sim", "timer.epoch") in kinds
     assert ("net", "message.delivery") in kinds
     assert ("app", "region_alloc") in kinds
-    # ...separable from the checkpoint pipeline
-    assert ("checkpoint", "transport.frame") in kinds
-    assert ("storage", "sink.write") in kinds
+    # ...separable from the checkpoint pipeline: one event per frame
+    # injection, one per piece reaching durability (sink writes are
+    # reserved arithmetically, not driven by events)
+    assert ("checkpoint", "transport.inject") in kinds
+    assert ("checkpoint", "transport.durable") in kinds
     assert ("host", "setup") in kinds
     # ranked categories carry a rank-group label
     resume = next(c for c in profile["categories"]

@@ -152,3 +152,89 @@ def test_fail_next_writes_validation():
     disk = Disk(Engine(), SCSI_ULTRA320)
     with pytest.raises(StorageError):
         disk.fail_next_writes(0)
+
+
+# -- reservations -------------------------------------------------------------
+
+def test_reserve_matches_write_timing_and_defers_accounting():
+    eng = Engine()
+    spec = DiskSpec("t", bandwidth=100.0, seek_latency=1.0)
+    disk, ref = Disk(eng, spec), Disk(eng, spec)
+    d1, r1 = disk.reserve(100, at=1.0)
+    d2, r2 = disk.reserve(100, at=1.5)
+    assert (d1, d2) == (3.0, 5.0)          # FIFO: the second queues
+    assert r1.failed is None and disk.ops == 0   # nothing issued yet
+    assert disk.queue_delay() == 0.0       # reservations ahead don't count
+    got = []
+
+    def issue_ref():
+        ref.write(100).add_callback(got.append)
+
+    eng.schedule_at(1.0, issue_ref)
+    eng.schedule_at(1.5, issue_ref)
+    eng.run()
+    disk.settle(eng.now)
+    assert got == [d1, d2]                 # one timing path
+    assert (r1.failed, r2.failed) == (False, False)
+    assert (disk.ops, disk.bytes_written, disk.busy_time) == \
+        (ref.ops, ref.bytes_written, ref.busy_time)
+
+
+def test_settle_issues_only_reservations_whose_time_has_come():
+    eng = Engine()
+    disk = Disk(eng, DiskSpec("t", bandwidth=100.0, seek_latency=1.0))
+    disk.reserve(100, at=1.0)
+    disk.reserve(100, at=3.0)
+    disk.settle(2.0)
+    assert disk.ops == 1
+    disk.settle(3.0)                       # inclusive of the issue instant
+    assert disk.ops == 2
+
+
+def test_reservations_must_be_issued_in_time_order():
+    disk = Disk(Engine(), SCSI_ULTRA320)
+    disk.reserve(10, at=2.0)
+    with pytest.raises(StorageError, match="time order"):
+        disk.reserve(10, at=1.0)
+    with pytest.raises(StorageError):
+        disk.reserve(-1, at=3.0)
+
+
+def test_fault_hits_only_writes_issued_after_it():
+    """A failure budget added mid-flight applies to reservations whose
+    issue time is still ahead; one issued at the fault's own instant
+    already reached the disk (it settles first)."""
+    eng = Engine()
+    disk = Disk(eng, DiskSpec("t", bandwidth=100.0, seek_latency=0.5))
+    _, early = disk.reserve(100, at=1.0)
+    _, tied = disk.reserve(100, at=2.0)
+    _, late = disk.reserve(100, at=3.0)
+    eng.schedule_at(2.0, disk.fail_next_writes, 1)
+    eng.run(until=3.0)
+    disk.settle(eng.now)
+    assert (early.failed, tied.failed, late.failed) == (False, False, True)
+    assert disk.writes_failed == 1
+    assert disk.bytes_written == 200
+
+
+def test_array_reserve_spans_member_disks():
+    eng = Engine()
+    spec = DiskSpec("t", bandwidth=100.0, seek_latency=0.0)
+    arr = StorageArray(eng, 2, spec, stripe_unit=100)
+    done_at, stripe = arr.reserve(300, at=1.0)
+    assert done_at == pytest.approx(3.0)   # d0 holds two chunks
+    assert len(stripe.chunks) == 3
+    arr.disks[1].fail_next_writes(1)
+    arr.settle(1.0)
+    assert stripe.failed
+    assert arr.bytes_written() == 200
+
+
+def test_array_write_with_failed_chunk_resolves_none():
+    eng = Engine()
+    arr = StorageArray(eng, 2, DiskSpec("t", bandwidth=100.0,
+                                        seek_latency=0.0), stripe_unit=100)
+    arr.disks[0].fail_next_writes(1)
+    fut = arr.write(200)
+    eng.run()
+    assert fut.value is None

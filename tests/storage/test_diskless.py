@@ -83,3 +83,27 @@ def test_faster_than_disk_for_small_deltas():
     f_disk = disk.write(int(80 * MiB))
     eng.run()
     assert f_net.value < f_disk.value
+
+
+def test_reserve_charges_memcpy_only_and_checks_capacity_at_issue():
+    """A deposit reserved ahead is admitted against the capacity held at
+    its issue time: a release landing in between makes room for it."""
+    eng, sink = make_sink(capacity=150)
+    sink.write(100)
+    done_at, rec = sink.reserve(100, at=4.0)
+    assert done_at == pytest.approx(4.5)   # 100 B at 200 B/s memcpy
+    eng.schedule_at(3.0, sink.release, 100)
+    eng.run(until=4.0)
+    sink.settle(eng.now)
+    assert rec.failed is False
+    assert sink.bytes_held == 100
+    assert sink.bytes_written == 200
+
+
+def test_reserved_deposit_over_capacity_raises_when_issued():
+    eng, sink = make_sink(capacity=150)
+    sink.write(100)
+    sink.reserve(100, at=4.0)
+    sink.settle(3.0)                       # not issued yet: no verdict
+    with pytest.raises(StorageError, match="exhausted"):
+        sink.settle(4.0)
